@@ -582,55 +582,24 @@ let service_outcomes : (string * Service.outcome) list ref = ref []
 
 let bench_service () =
   wall (fun () ->
-      section
-        "Serving traffic through the native pool (E15: fixed vs adaptive)";
-      let serve label scenario ~domains ~requests ?(refill = false) mode =
+      section "Serving traffic through the native pool (E15)";
+      let serve ?(refill = false) scenario ~domains ~requests =
         let cfg =
-          {
-            (Service.default ~scenario) with
-            Service.domains;
-            requests;
-            mode;
-            refill;
-          }
+          { (Service.default ~scenario) with Service.domains; requests; refill }
         in
         let o = Service.run cfg in
+        let label = if refill then scenario ^ "+refill" else scenario in
         service_outcomes := !service_outcomes @ [ (label, o) ];
         print_string (Service.to_string o);
-        print_newline ();
-        o
+        print_newline ()
       in
       (* A steady closed loop, plus the SpeedMalloc dedicated-refill-domain
          arm on the same load (prefills > 0 proves the stocker ran). *)
-      let _ =
-        serve "steady/fixed" "steady" ~domains:2 ~requests:125_000 `Fixed
-      in
-      let _ =
-        serve "steady/fixed+refill" "steady" ~domains:2 ~requests:125_000
-          ~refill:true `Fixed
-      in
-      (* The E15 headline: cross-domain producer/consumer flow, where
-         every object is freed on a different domain than its alloc. *)
-      let fx =
-        serve "producer_consumer/fixed" "producer_consumer" ~domains:4
-          ~requests:150_000 `Fixed
-      in
-      let ad =
-        serve "producer_consumer/adaptive" "producer_consumer" ~domains:4
-          ~requests:150_000 `Adaptive
-      in
-      let st m = m.Service.o_stats in
-      Printf.printf
-        "fixed vs adaptive (producer_consumer): ops/s %.2e -> %.2e, \
-         creates %d -> %d, depot acquires %d -> %d, contended %d -> %d, \
-         drops %d -> %d\n"
-        fx.Service.o_ops_per_sec ad.Service.o_ops_per_sec
-        (st fx).Service.Pstats.s_creates (st ad).Service.Pstats.s_creates
-        (st fx).Service.Pstats.s_depot_acquires
-        (st ad).Service.Pstats.s_depot_acquires
-        (st fx).Service.Pstats.s_depot_contended
-        (st ad).Service.Pstats.s_depot_contended
-        (st fx).Service.Pstats.s_drops (st ad).Service.Pstats.s_drops)
+      serve "steady" ~domains:2 ~requests:125_000;
+      serve "steady" ~domains:2 ~requests:125_000 ~refill:true;
+      (* Cross-domain producer/consumer flow, where every object is freed
+         on a different domain than its alloc. *)
+      serve "producer_consumer" ~domains:4 ~requests:150_000)
 
 (* --- E13: lock-free allocator arms --- *)
 
@@ -824,9 +793,7 @@ let write_host_json path records =
          \"ops\": %d, \"seconds\": %.3f, \"ops_per_sec\": %.0f, \
          \"p50_ns\": %.0f, \"p99_ns\": %.0f, \"p999_ns\": %.0f, \
          \"creates\": %d, \"depot_acquires\": %d, \"contended\": %d, \
-         \"contention_rate\": %.6f, \"drops\": %d, \"prefills\": %d, \
-         \"grows\": %d, \"shrinks\": %d, \"final_target\": %d, \
-         \"final_bound\": %d}%s\n"
+         \"contention_rate\": %.6f, \"drops\": %d, \"prefills\": %d}%s\n"
         (json_escape label) o.Service.o_domains o.Service.o_requests
         o.Service.o_ops o.Service.o_wall_s o.Service.o_ops_per_sec
         o.Service.o_p50 o.Service.o_p99 o.Service.o_p999
@@ -835,8 +802,6 @@ let write_host_json path records =
         (if Float.is_nan o.Service.o_contention then 0.
          else o.Service.o_contention)
         s.Service.Pstats.s_drops s.Service.Pstats.s_prefills
-        s.Service.Pstats.s_grows s.Service.Pstats.s_shrinks
-        o.Service.o_final_target o.Service.o_final_bound
         (if i = List.length svc - 1 then "" else ","))
     svc;
   Printf.fprintf oc "  ]\n}\n";

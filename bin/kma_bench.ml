@@ -1002,23 +1002,6 @@ let service_cmd =
           ~doc:
             "Scenario shape to serve ($(b,list) or omit to list the shapes).")
   in
-  let mode_conv =
-    let parse = function
-      | "fixed" -> Ok `Fixed
-      | "adaptive" -> Ok `Adaptive
-      | "both" -> Ok `Both
-      | s ->
-          Error
-            (`Msg
-              (Printf.sprintf "unknown mode %S (valid: fixed, adaptive, both)"
-                 s))
-    in
-    let print ppf m =
-      Format.pp_print_string ppf
-        (match m with `Fixed -> "fixed" | `Adaptive -> "adaptive" | `Both -> "both")
-    in
-    Arg.conv (parse, print)
-  in
   let arrival_conv =
     let parse s =
       if s = "closed" then Ok `Closed
@@ -1071,15 +1054,6 @@ let service_cmd =
   let seed =
     Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Deterministic seed.")
   in
-  let mode =
-    Arg.(
-      value
-      & opt mode_conv `Both
-      & info [ "mode" ] ~docv:"MODE"
-          ~doc:
-            "Pool geometry: $(b,fixed), $(b,adaptive), or $(b,both) to A/B \
-             them on the same load (default).")
-  in
   let refill =
     Arg.(
       value & flag
@@ -1092,13 +1066,13 @@ let service_cmd =
     Arg.(
       value
       & opt (pos_int "target") 16
-      & info [ "target" ] ~doc:"Base magazine target (batch size).")
+      & info [ "target" ] ~doc:"Magazine target (batch size).")
   in
   let depot_batches =
     Arg.(
       value
       & opt (pos_int "depot bound") 32
-      & info [ "depot-batches" ] ~doc:"Base depot bound, in batches.")
+      & info [ "depot-batches" ] ~doc:"Depot bound, in batches.")
   in
   let arrival =
     Arg.(
@@ -1127,7 +1101,7 @@ let service_cmd =
            | Some _ -> Some [ s.Scenario.name; s.Scenario.summary ])
          Scenario.all)
   in
-  let run name domains requests seed mode refill target depot_batches arrival
+  let run name domains requests seed refill target depot_batches arrival
       obj_bytes =
     match name with
     | None | Some "list" -> list_shapes ()
@@ -1151,28 +1125,7 @@ let service_cmd =
                 obj_bytes;
               }
             in
-            let serve m =
-              let o = Service.run { cfg with Service.mode = m } in
-              print_string (Service.to_string o);
-              o
-            in
-            (match mode with
-            | `Fixed -> ignore (serve `Fixed)
-            | `Adaptive -> ignore (serve `Adaptive)
-            | `Both ->
-                let f = serve `Fixed in
-                print_newline ();
-                let a = serve `Adaptive in
-                let rate o =
-                  if Float.is_nan o.Service.o_contention then 0.
-                  else o.Service.o_contention
-                in
-                Printf.printf
-                  "\nfixed vs adaptive: contended acquisitions %d -> %d \
-                   (rate %.4f -> %.4f), p99 %.0f -> %.0f ns\n"
-                  f.Service.o_stats.Objpool.Pstats.s_depot_contended
-                  a.Service.o_stats.Objpool.Pstats.s_depot_contended (rate f)
-                  (rate a) f.Service.o_p99 a.Service.o_p99))
+            print_string (Service.to_string (Service.run cfg)))
   in
   Cmd.v
     (Cmd.info "service"
@@ -1180,10 +1133,9 @@ let service_cmd =
          "Serve a production-shaped request load through the native \
           per-domain pool (lib/service): multi-domain workers, cross-domain \
           frees, p50/p99/p999 request latency, and depot-contention \
-          accounting, with $(b,--mode both) A/B-ing fixed vs \
-          contention-adaptive pool geometry (E15).")
+          accounting (E15).")
     Term.(
-      const run $ name_arg $ domains $ requests $ seed $ mode $ refill
+      const run $ name_arg $ domains $ requests $ seed $ refill
       $ target $ depot_batches $ arrival $ obj_bytes)
 
 let default =

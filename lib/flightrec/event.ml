@@ -1,4 +1,4 @@
-type layer = Percpu | Global | Pagepool | Vmblk | Kmem | Objcache
+type layer = Percpu | Global | Pagepool | Vmblk | Kmem
 
 let layer_name = function
   | Percpu -> "percpu"
@@ -6,7 +6,6 @@ let layer_name = function
   | Pagepool -> "pagepool"
   | Vmblk -> "vmblk"
   | Kmem -> "kmem"
-  | Objcache -> "objcache"
 
 type kind =
   | Alloc of { si : int; layer : layer }

@@ -14,7 +14,7 @@
 (** Which allocator layer satisfied (or was reached by) an operation.
     The per-CPU layer satisfying an allocation locally is the fast
     path; [Global] means the operation had to take a lock. *)
-type layer = Percpu | Global | Pagepool | Vmblk | Kmem | Objcache
+type layer = Percpu | Global | Pagepool | Vmblk | Kmem
 
 val layer_name : layer -> string
 

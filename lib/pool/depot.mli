@@ -8,57 +8,45 @@
     GC itself, which is the per-design substitution documented in
     DESIGN.md.
 
-    Invariants: [nbatches] equals [length stock]; every stocked batch
-    has at most [target] items at the time it was grouped; the loose
-    bucket holds fewer than [target] items outside of a [put_partial]
-    regroup; [nbatches <= max_batches] except transiently inside a
-    geometry shrink, which the next put corrects by dropping.
+    Invariants: the stock is read and written only under the depot
+    mutex; [nbatches] equals [length stock] and never exceeds
+    [max_batches]; every stocked batch has at most [target] items;
+    the loose bucket holds fewer than [target] items.  {!check}
+    verifies these.  [target] and [max_batches] are fixed at
+    {!create}, so a batch taken by {!get} always fits a magazine of
+    the same [target].
 
-    The [_observed] variants additionally report whether the depot
-    mutex was held by another domain at acquire time ([try_lock]
-    failed) — the contention signal {!Pool}'s adaptive mode feeds on. *)
+    Each data-path exchange ({!get}, {!put}, {!put_partial}) is one
+    lock acquisition, recorded in the owning pool's {!Pstats} together
+    with whether the mutex was held by another domain at acquire time
+    (a failed [try_lock]). *)
 
 type 'a t
 
-val create : target:int -> max_batches:int -> 'a t
+val create : stats:Pstats.t -> target:int -> max_batches:int -> 'a t
 (** [target] is the batch size magazines exchange; odd-sized returns
-    are regrouped into [target]-sized batches.
+    are regrouped into [target]-sized batches.  Lock acquisitions are
+    counted in [stats].
     @raise Invalid_argument if [target < 1] or [max_batches < 0]. *)
 
 val get : 'a t -> 'a list option
 (** [get t] takes one batch (at most [target] items), or [None] when
     empty. *)
 
-val get_observed : 'a t -> 'a list option * bool
-(** [get] plus the contended flag. *)
-
 val put : 'a t -> 'a list -> [ `Kept | `Dropped ]
 (** [put t batch] stores a batch; [`Dropped] when the depot is full
     (the batch is released to the GC). *)
-
-val put_observed : 'a t -> 'a list -> [ `Kept | `Dropped ] * bool
-(** [put] plus the contended flag. *)
 
 val put_partial : 'a t -> 'a list -> unit
 (** [put_partial t items] accepts an odd-sized return (magazine drain at
     domain exit), regrouping into batches internally; overflow beyond
     the bound is dropped. *)
 
-val put_partial_observed : 'a t -> 'a list -> bool
-(** [put_partial] plus the contended flag. *)
-
-val set_geometry : 'a t -> target:int -> max_batches:int -> unit
-(** Adjust the regroup batch size and the stock bound under the lock.
-    Already-stocked batches keep their old size (magazines split
-    overlong batches on install); a lowered bound takes effect at the
-    next put.
-    @raise Invalid_argument if [target < 1] or [max_batches < 0]. *)
-
-val bound : 'a t -> int
-(** Current [max_batches] (monitoring; may be adapted at runtime). *)
-
 val batches : 'a t -> int
 (** Current stock (for monitoring; momentarily stale by nature). *)
 
 val drain : 'a t -> 'a list
 (** [drain t] empties the depot (tests, shutdown). *)
+
+val check : 'a t -> bool
+(** Invariant oracle for tests, taken under the lock. *)

@@ -1,282 +1,62 @@
-type mode = [ `Fixed | `Adaptive ]
-
-type adapt_event = {
-  ev_seq : int;
-  ev_grow : bool;
-  ev_target : int;
-  ev_bound : int;
-}
-
-(* Per-domain state: the magazine plus the contention signal latched
-   since this domain's last depot safe point.  [saw_contended] is set
-   by any depot acquisition that found the lock held. *)
-type 'a slot = {
-  mutable mag : 'a Magazine.t;
-  mutable saw_contended : bool;
-}
-
 type 'a t = {
   ctor : unit -> 'a;
   reset : ('a -> unit) option;
-  base_target : int;
-  max_target : int;
-  base_bound : int;
-  max_bound : int;
-  grow_step : int;
-  bound_step : int;
-  mode : mode;
-  desired_target : int Atomic.t;
-  desired_bound : int Atomic.t;
+  target : int;
   depot : 'a Depot.t;
   stats : Pstats.t;
-  key : 'a slot Domain.DLS.key;
-  flushes : int Atomic.t;
-  oversupply_run : int Atomic.t;  (* consecutive oversupply signals *)
-  last_create_seq : int Atomic.t;
-      (* flush sequence number current when any domain last paid
-         constructor cost; a drop landing within [churn_window]
-         flushes of it is churn, not oversupply *)
-  events : adapt_event list Atomic.t;  (* newest first, capped *)
+  key : 'a Magazine.t Domain.DLS.key;
 }
 
-let max_trajectory = 512
-let churn_window = 128
-
-(* Hysteresis, after Pressure's clean-streak rule: one churn signal is
-   enough to grow, but shrinking needs this many consecutive
-   oversupply signals — otherwise a workload that alternates overflow
-   and miss phases (scheduler slices) rides a grow/shrink limit cycle
-   instead of settling at the larger geometry it needs. *)
-let shrink_streak = 32
-
-let create ~ctor ?reset ?(target = 16) ?(depot_batches = 32) ?(mode = `Fixed)
-    ?max_target ?max_depot_batches ?grow_step () =
+let create ~ctor ?reset ?(target = 16) ?(depot_batches = 32) () =
   if target < 1 then invalid_arg "Pool.create: target < 1";
   if depot_batches < 0 then invalid_arg "Pool.create: depot_batches < 0";
-  let max_target = Option.value max_target ~default:(8 * target) in
-  let max_bound =
-    Option.value max_depot_batches ~default:(max 1 (8 * depot_batches))
-  in
-  if max_target < target then invalid_arg "Pool.create: max_target < target";
-  if max_bound < depot_batches then
-    invalid_arg "Pool.create: max_depot_batches < depot_batches";
-  let grow_step = Option.value grow_step ~default:target in
-  if grow_step < 1 then invalid_arg "Pool.create: grow_step < 1";
-  let desired_target = Atomic.make target in
+  let stats = Pstats.create () in
   {
     ctor;
     reset;
-    base_target = target;
-    max_target;
-    base_bound = depot_batches;
-    max_bound;
-    grow_step;
-    bound_step = max 1 depot_batches;
-    mode;
-    desired_target;
-    desired_bound = Atomic.make depot_batches;
-    depot = Depot.create ~target ~max_batches:depot_batches;
-    stats = Pstats.create ();
-    key =
-      Domain.DLS.new_key (fun () ->
-          {
-            mag = Magazine.create ~target:(Atomic.get desired_target);
-            saw_contended = false;
-          });
-    flushes = Atomic.make 0;
-    oversupply_run = Atomic.make 0;
-    last_create_seq = Atomic.make (-(churn_window + 1));
-    events = Atomic.make [];
+    target;
+    depot = Depot.create ~stats ~target ~max_batches:depot_batches;
+    stats;
+    key = Domain.DLS.new_key (fun () -> Magazine.create ~target);
   }
 
-let slot t = Domain.DLS.get t.key
+let magazine t = Domain.DLS.get t.key
 
-let note_acquire t sl ~contended =
-  Pstats.note_depot_acquire t.stats ~contended;
-  if contended then sl.saw_contended <- true
-
-(* Load a depot batch into an empty magazine.  Under adaptation the
-   batch may exceed the magazine's (possibly stale, possibly shrunk)
-   target; the excess goes back as loose items rather than violating
-   the magazine's install contract. *)
-let install_clamped t sl batch =
-  let tgt = Magazine.target sl.mag in
-  let rec split n acc rest =
-    if n = 0 then (List.rev acc, rest)
-    else
-      match rest with
-      | x :: tl -> split (n - 1) (x :: acc) tl
-      | [] -> (List.rev acc, [])
-  in
-  let keep, excess = split tgt [] batch in
-  Magazine.install sl.mag keep;
-  match excess with
-  | [] -> ()
-  | excess ->
-      Pstats.incr_depot_put t.stats;
-      let contended = Depot.put_partial_observed t.depot excess in
-      note_acquire t sl ~contended
-
-let note_create t =
+let construct t =
   Pstats.incr_create t.stats;
-  if t.mode = `Adaptive then
-    Atomic.set t.last_create_seq (Atomic.get t.flushes)
+  t.ctor ()
 
+(* A depot batch never exceeds [target]: flushes are exactly [target]
+   long, [put_partial] regroups to [target], and loose items number
+   fewer than [target] — so it installs as is ([Magazine.install]
+   still raises if that ever breaks). *)
 let alloc t =
   Pstats.incr_alloc t.stats;
-  let sl = slot t in
-  match Magazine.get sl.mag with
+  let mag = magazine t in
+  match Magazine.get mag with
   | Some x -> x
   | None -> (
       Pstats.incr_depot_get t.stats;
-      let batch, contended = Depot.get_observed t.depot in
-      note_acquire t sl ~contended;
-      match batch with
+      match Depot.get t.depot with
       | Some batch -> (
-          install_clamped t sl batch;
-          match Magazine.get sl.mag with
+          Magazine.install mag batch;
+          match Magazine.get mag with
           | Some x -> x
           | None ->
               (* Depot batches are never empty, but fall back safely. *)
-              note_create t;
-              t.ctor ())
-      | None ->
-          note_create t;
-          t.ctor ())
-
-(* --- adaptation: the Kma.Pressure discipline transplanted -----------
-
-   Like Pressure, the knobs move only at slow-path safe points (a
-   magazine flush hitting the depot), never on the magazine hit path,
-   with floors and ceilings pinning the geometry to
-   [base <= current <= 8 * base] by default.  Growth is additive
-   ([grow_step] per signal), shrink is multiplicative (halving the
-   excess over the base).
-
-   The raw signals entering [adapt]:
-   - [contended]: depot churn.  The flushing put found the lock held,
-     or any depot acquisition by this domain since its last safe point
-     did, or the flush was dropped within [churn_window] flushes of a
-     constructor miss somewhere in the pool — overflow and miss at
-     once, the drain/refill oscillation shape (on a single-core host,
-     domains alternate in scheduler slices, so the domain paying the
-     misses is never the one at a flush safe point: the miss evidence
-     must be pool-global).  Bigger magazines visit the depot less and
-     a bigger depot absorbs more phase skew, so grow both.
-   - [dropped]: pure oversupply.  The flush was dropped with no miss
-     anywhere near: the pool holds more than the workload circulates,
-     so decay back toward the configured base and let the GC have the
-     excess. *)
-
-let record_event t ev =
-  let rec push () =
-    let old = Atomic.get t.events in
-    if List.length old >= max_trajectory then ()
-    else if not (Atomic.compare_and_set t.events old (ev :: old)) then push ()
-  in
-  push ()
-
-let rec step_toward a ~limit ~step =
-  let cur = Atomic.get a in
-  let nxt = min limit (cur + step) in
-  if nxt = cur then None
-  else if Atomic.compare_and_set a cur nxt then Some nxt
-  else step_toward a ~limit ~step
-
-let rec halve_toward a ~base =
-  let cur = Atomic.get a in
-  let nxt = base + ((cur - base) / 2) in
-  if nxt = cur then None
-  else if Atomic.compare_and_set a cur nxt then Some nxt
-  else halve_toward a ~base
-
-let adapt t ~seq ~contended ~dropped =
-  let changed, grow =
-    if contended then
-      let nt = step_toward t.desired_target ~limit:t.max_target ~step:t.grow_step in
-      let nb = step_toward t.desired_bound ~limit:t.max_bound ~step:t.bound_step in
-      ((nt, nb) <> (None, None), true)
-    else if dropped then
-      let nt = halve_toward t.desired_target ~base:t.base_target in
-      let nb = halve_toward t.desired_bound ~base:t.base_bound in
-      ((nt, nb) <> (None, None), false)
-    else (false, false)
-  in
-  if changed then begin
-    Depot.set_geometry t.depot
-      ~target:(Atomic.get t.desired_target)
-      ~max_batches:(Atomic.get t.desired_bound);
-    if grow then Pstats.incr_grow t.stats else Pstats.incr_shrink t.stats;
-    record_event t
-      {
-        ev_seq = seq;
-        ev_grow = grow;
-        ev_target = Atomic.get t.desired_target;
-        ev_bound = Atomic.get t.desired_bound;
-      }
-  end
-
-(* Re-cut the calling domain's magazine to the current desired target.
-   The magazine geometry is immutable (its invariants depend on it), so
-   adaptation swaps in a fresh magazine and re-feeds the old contents;
-   any flush this produces goes to the depot as usual. *)
-let sync_magazine t sl =
-  let want = Atomic.get t.desired_target in
-  if Magazine.target sl.mag <> want then begin
-    let held = Magazine.drain sl.mag in
-    sl.mag <- Magazine.create ~target:want;
-    List.iter
-      (fun x ->
-        match Magazine.put sl.mag x with
-        | `Ok -> ()
-        | `Flush batch -> (
-            Pstats.incr_depot_put t.stats;
-            let r, contended = Depot.put_observed t.depot batch in
-            note_acquire t sl ~contended;
-            match r with
-            | `Kept -> ()
-            | `Dropped -> Pstats.incr_drop t.stats))
-      held
-  end
+              construct t)
+      | None -> construct t)
 
 let release t x =
   (match t.reset with Some f -> f x | None -> ());
   Pstats.incr_free t.stats;
-  let sl = slot t in
-  match Magazine.put sl.mag x with
+  match Magazine.put (magazine t) x with
   | `Ok -> ()
-  | `Flush batch ->
-      let seq = Atomic.fetch_and_add t.flushes 1 in
+  | `Flush batch -> (
       Pstats.incr_depot_put t.stats;
-      let r, contended = Depot.put_observed t.depot batch in
-      note_acquire t sl ~contended;
-      let dropped = r = `Dropped in
-      if dropped then Pstats.incr_drop t.stats;
-      if t.mode = `Adaptive then begin
-        let churn =
-          sl.saw_contended
-          || (dropped && seq - Atomic.get t.last_create_seq <= churn_window)
-        in
-        sl.saw_contended <- false;
-        if churn then begin
-          Atomic.set t.oversupply_run 0;
-          adapt t ~seq ~contended:true ~dropped:false
-        end
-        else if dropped then begin
-          if Atomic.fetch_and_add t.oversupply_run 1 + 1 >= shrink_streak
-          then begin
-            Atomic.set t.oversupply_run 0;
-            adapt t ~seq ~contended:false ~dropped:true
-          end
-        end;
-        sync_magazine t sl
-      end
-
-let adapt_now t ~contended ~dropped =
-  if t.mode = `Adaptive then begin
-    adapt t ~seq:(Atomic.get t.flushes) ~contended ~dropped;
-    sync_magazine t (slot t)
-  end
+      match Depot.put t.depot batch with
+      | `Kept -> ()
+      | `Dropped -> Pstats.incr_drop t.stats)
 
 let with_obj t f =
   let x = alloc t in
@@ -289,42 +69,33 @@ let with_obj t f =
       raise e
 
 let flush_local t =
-  let sl = slot t in
-  match Magazine.drain sl.mag with
+  match Magazine.drain (magazine t) with
   | [] -> ()
   | items ->
       Pstats.incr_depot_put t.stats;
-      let contended = Depot.put_partial_observed t.depot items in
-      note_acquire t sl ~contended
+      Depot.put_partial t.depot items
 
 let refill t ~batches =
   if batches < 0 then invalid_arg "Pool.refill: batches < 0";
-  let sl = slot t in
-  let kept = ref 0 in
-  (try
-     for _ = 1 to batches do
-       (* Stop constructing as soon as the depot reports full: one
-          speculative batch at most goes to the GC. *)
-       let tgt = Atomic.get t.desired_target in
-       let batch = List.init tgt (fun _ -> t.ctor ()) in
-       Pstats.incr_depot_put t.stats;
-       let r, contended = Depot.put_observed t.depot batch in
-       note_acquire t sl ~contended;
-       match r with
-       | `Kept ->
-           incr kept;
-           Pstats.incr_prefill t.stats
-       | `Dropped ->
-           Pstats.incr_drop t.stats;
-           raise Exit
-     done
-   with Exit -> ());
-  !kept
+  (* Stop constructing as soon as the depot reports full: one
+     speculative batch at most goes to the GC. *)
+  let rec go kept =
+    if kept = batches then kept
+    else begin
+      let batch = List.init t.target (fun _ -> t.ctor ()) in
+      Pstats.incr_depot_put t.stats;
+      match Depot.put t.depot batch with
+      | `Kept ->
+          Pstats.incr_prefill t.stats;
+          go (kept + 1)
+      | `Dropped ->
+          Pstats.incr_drop t.stats;
+          kept
+    end
+  in
+  go 0
 
 let stats t = t.stats
-let mode t = t.mode
-let target t = t.base_target
-let current_target t = Atomic.get t.desired_target
-let depot_bound t = Atomic.get t.desired_bound
+let target t = t.target
 let depot_batches t = Depot.batches t.depot
-let trajectory t = List.rev (Atomic.get t.events)
+let check t = Magazine.check (magazine t) && Depot.check t.depot

@@ -13,8 +13,6 @@ type cell = {
   drops : int Atomic.t;
   depot_acquires : int Atomic.t;
   depot_contended : int Atomic.t;
-  grows : int Atomic.t;
-  shrinks : int Atomic.t;
   prefills : int Atomic.t;
 }
 
@@ -30,8 +28,6 @@ let new_cell () =
     drops = Atomic.make 0;
     depot_acquires = Atomic.make 0;
     depot_contended = Atomic.make 0;
-    grows = Atomic.make 0;
-    shrinks = Atomic.make 0;
     prefills = Atomic.make 0;
   }
 
@@ -63,8 +59,6 @@ let note_depot_acquire t ~contended =
   Atomic.incr c.depot_acquires;
   if contended then Atomic.incr c.depot_contended
 
-let incr_grow t = Atomic.incr (cell t).grows
-let incr_shrink t = Atomic.incr (cell t).shrinks
 let incr_prefill t = Atomic.incr (cell t).prefills
 
 let sum t field =
@@ -78,8 +72,6 @@ let depot_puts t = sum t (fun c -> c.depot_puts)
 let drops t = sum t (fun c -> c.drops)
 let depot_acquires t = sum t (fun c -> c.depot_acquires)
 let depot_contended t = sum t (fun c -> c.depot_contended)
-let grows t = sum t (fun c -> c.grows)
-let shrinks t = sum t (fun c -> c.shrinks)
 let prefills t = sum t (fun c -> c.prefills)
 
 type snapshot = {
@@ -91,8 +83,6 @@ type snapshot = {
   s_drops : int;
   s_depot_acquires : int;
   s_depot_contended : int;
-  s_grows : int;
-  s_shrinks : int;
   s_prefills : int;
 }
 
@@ -106,8 +96,6 @@ let read t =
     s_drops = drops t;
     s_depot_acquires = depot_acquires t;
     s_depot_contended = depot_contended t;
-    s_grows = grows t;
-    s_shrinks = shrinks t;
     s_prefills = prefills t;
   }
 

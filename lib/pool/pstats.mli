@@ -20,12 +20,9 @@ val incr_depot_put : t -> unit
 val incr_drop : t -> unit
 
 val note_depot_acquire : t -> contended:bool -> unit
-(** Record one depot-lock acquisition on the data path; [contended]
-    means the lock was observed held by another domain at acquire
-    time. *)
-
-val incr_grow : t -> unit
-val incr_shrink : t -> unit
+(** Record one depot-lock acquisition on the data path ({!Depot.get},
+    {!Depot.put} and {!Depot.put_partial} call it); [contended] means
+    the lock was observed held by another domain at acquire time. *)
 
 val incr_prefill : t -> unit
 (** Batches constructed and deposited by a dedicated refill domain. *)
@@ -48,11 +45,6 @@ val depot_acquires : t -> int
 val depot_contended : t -> int
 (** The subset of {!depot_acquires} that found the lock held. *)
 
-val grows : t -> int
-
-val shrinks : t -> int
-(** Adaptive geometry steps taken by {!Pool} in [`Adaptive] mode. *)
-
 val prefills : t -> int
 
 type snapshot = {
@@ -64,8 +56,6 @@ type snapshot = {
   s_drops : int;
   s_depot_acquires : int;
   s_depot_contended : int;
-  s_grows : int;
-  s_shrinks : int;
   s_prefills : int;
 }
 

@@ -39,7 +39,6 @@ type config = {
   domains : int;
   requests : int;  (* per domain *)
   seed : int;
-  mode : Pool.mode;
   refill : bool;
   target : int;
   depot_batches : int;
@@ -53,7 +52,6 @@ let default ~scenario =
     domains = 2;
     requests = 100_000;
     seed = 42;
-    mode = `Fixed;
     refill = false;
     target = 16;
     depot_batches = 32;
@@ -72,7 +70,6 @@ type domain_stat = {
 
 type outcome = {
   o_scenario : string;
-  o_mode : Pool.mode;
   o_domains : int;
   o_requests : int;  (* total, all domains *)
   o_ops : int;  (* allocs + frees through the pool *)
@@ -84,10 +81,8 @@ type outcome = {
   o_mean_ns : float;
   o_max_ns : int;
   o_stats : Pstats.snapshot;
+  o_hit_rate : float;
   o_contention : float;
-  o_final_target : int;
-  o_final_bound : int;
-  o_trajectory : Pool.adapt_event list;
   o_per_domain : domain_stat list;
 }
 
@@ -210,7 +205,7 @@ let run cfg =
   let pool =
     Pool.create
       ~ctor:(fun () -> Bytes.create cfg.obj_bytes)
-      ~target:cfg.target ~depot_batches:cfg.depot_batches ~mode:cfg.mode ()
+      ~target:cfg.target ~depot_batches:cfg.depot_batches ()
   in
   let n = cfg.domains in
   let mailboxes = Array.init n (fun _ -> Atomic.make []) in
@@ -274,7 +269,7 @@ let run cfg =
   let refiller () =
     let pass () =
       let stocked = Pool.depot_batches pool in
-      let bound = Pool.depot_bound pool in
+      let bound = cfg.depot_batches in
       if stocked < max 1 (bound / 2) then
         ignore (Pool.refill pool ~batches:(bound - stocked))
       else Domain.cpu_relax ()
@@ -318,7 +313,6 @@ let run cfg =
   let wall_s = float_of_int wall_ns /. 1e9 in
   {
     o_scenario = cfg.scenario;
-    o_mode = cfg.mode;
     o_domains = n;
     o_requests = Array.fold_left ( + ) 0 reqdone;
     o_ops = ops;
@@ -330,45 +324,32 @@ let run cfg =
     o_mean_ns = Hist.mean_ns all;
     o_max_ns = Hist.max_ns all;
     o_stats = stats;
+    o_hit_rate = Pstats.magazine_hit_rate (Pool.stats pool);
     o_contention = Pstats.contention_rate (Pool.stats pool);
-    o_final_target = Pool.current_target pool;
-    o_final_bound = Pool.depot_bound pool;
-    o_trajectory = Pool.trajectory pool;
     o_per_domain = per_domain;
   }
 
 (* ---------------------------------------------------------------- *)
 
-let mode_name = function `Fixed -> "fixed" | `Adaptive -> "adaptive"
-
 let ns v = if Float.is_nan v then "-" else Printf.sprintf "%.0f" v
+let rate v = if Float.is_nan v then "-" else Printf.sprintf "%.4f" v
 
 let to_string o =
   let b = Buffer.create 1024 in
   let s = o.o_stats in
-  Printf.bprintf b "service %s: %d domains, %s mode, %d requests, %d pool ops\n"
-    o.o_scenario o.o_domains (mode_name o.o_mode) o.o_requests o.o_ops;
+  Printf.bprintf b "service %s: %d domains, %d requests, %d pool ops\n"
+    o.o_scenario o.o_domains o.o_requests o.o_ops;
   Printf.bprintf b "  wall %.3f s   %.2e ops/s\n" o.o_wall_s o.o_ops_per_sec;
   Printf.bprintf b
     "  request latency ns: p50 %s  p99 %s  p999 %s  mean %s  max %d\n"
     (ns o.o_p50) (ns o.o_p99) (ns o.o_p999) (ns o.o_mean_ns) o.o_max_ns;
   Printf.bprintf b
-    "  pool: allocs %d  frees %d  creates %d  hit-rate %.4f\n"
-    s.Pstats.s_allocs s.Pstats.s_frees s.Pstats.s_creates
-    (1.
-    -.
-    if s.Pstats.s_allocs = 0 then 0.
-    else float_of_int s.Pstats.s_depot_gets /. float_of_int s.Pstats.s_allocs);
+    "  pool: allocs %d  frees %d  creates %d  hit-rate %s\n"
+    s.Pstats.s_allocs s.Pstats.s_frees s.Pstats.s_creates (rate o.o_hit_rate);
   Printf.bprintf b
     "  depot: acquires %d  contended %d (rate %s)  drops %d  prefills %d\n"
-    s.Pstats.s_depot_acquires s.Pstats.s_depot_contended
-    (if Float.is_nan o.o_contention then "-"
-     else Printf.sprintf "%.4f" o.o_contention)
+    s.Pstats.s_depot_acquires s.Pstats.s_depot_contended (rate o.o_contention)
     s.Pstats.s_drops s.Pstats.s_prefills;
-  Printf.bprintf b
-    "  geometry: target %d  depot bound %d  grows %d  shrinks %d  (%d adaptation steps)\n"
-    o.o_final_target o.o_final_bound s.Pstats.s_grows s.Pstats.s_shrinks
-    (List.length o.o_trajectory);
   List.iter
     (fun d ->
       Printf.bprintf b

@@ -12,8 +12,8 @@
     deterministic inter-arrival draw; open-loop latency is measured
     from the scheduled arrival, so queueing delay is charged to the
     tail (no coordinated omission).  Per-domain latency goes into
-    {!Hist} histograms (p50/p99/p999); depot contention, drops, and
-    adaptation steps come out of {!Pstats}.  The request *count* and
+    {!Hist} histograms (p50/p99/p999); magazine hit rate, depot
+    contention and drops come out of {!Pstats}.  The request *count* and
     every allocation decision are deterministic from [seed]; timings
     and contention are the machine's own.
 
@@ -49,7 +49,6 @@ type config = {
   domains : int;  (** worker domains, >= 1 *)
   requests : int;  (** per domain *)
   seed : int;
-  mode : Pool.mode;
   refill : bool;  (** dedicated depot-refill domain *)
   target : int;
   depot_batches : int;
@@ -58,7 +57,7 @@ type config = {
 }
 
 val default : scenario:string -> config
-(** 2 domains, 100k requests each, seed 42, [`Fixed], no refill,
+(** 2 domains, 100k requests each, seed 42, no refill,
     target 16, 32 depot batches, closed loop, 256-byte objects. *)
 
 type domain_stat = {
@@ -72,7 +71,6 @@ type domain_stat = {
 
 type outcome = {
   o_scenario : string;
-  o_mode : Pool.mode;
   o_domains : int;
   o_requests : int;  (** total requests served, all domains *)
   o_ops : int;  (** pool operations: allocs + frees *)
@@ -84,10 +82,8 @@ type outcome = {
   o_mean_ns : float;
   o_max_ns : int;
   o_stats : Pstats.snapshot;
+  o_hit_rate : float;  (** {!Pstats.magazine_hit_rate} *)
   o_contention : float;  (** contended share of depot acquisitions *)
-  o_final_target : int;
-  o_final_bound : int;
-  o_trajectory : Pool.adapt_event list;
   o_per_domain : domain_stat list;
 }
 
@@ -100,5 +96,3 @@ val run : config -> outcome
 
 val to_string : outcome -> string
 (** Multi-line human-readable report (the [kma_bench service] body). *)
-
-val mode_name : Pool.mode -> string

@@ -4,5 +4,4 @@ let () =
       ("magazine", Test_magazine.suite);
       ("depot", Test_depot.suite);
       ("pool", Test_pool.suite);
-      ("adaptive", Test_adaptive.suite);
     ]

@@ -4,7 +4,8 @@ open Objpool
    double hand-out, plus an id. *)
 type obj = { id : int; checked_out : bool Atomic.t; mutable dirty : bool }
 
-let make_pool ?(target = 4) ?(depot_batches = 8) () =
+let make_pool ?(target = 4) ?(depot_batches = 8)
+    ?(reset = fun o -> o.dirty <- false) () =
   let next = Atomic.make 0 in
   Pool.create
     ~ctor:(fun () ->
@@ -13,12 +14,14 @@ let make_pool ?(target = 4) ?(depot_batches = 8) () =
         checked_out = Atomic.make false;
         dirty = false;
       })
-    ~reset:(fun o -> o.dirty <- false)
-    ~target ~depot_batches ()
+    ~reset ~target ~depot_batches ()
 
+(* Called from worker domains too, so it raises rather than going
+   through Alcotest, whose reporting is not safe to call from several
+   domains at once; [Domain.join] re-raises in the test. *)
 let checkout o =
-  Alcotest.(check bool) "not already out" true
-    (Atomic.compare_and_set o.checked_out false true)
+  if not (Atomic.compare_and_set o.checked_out false true) then
+    failwith (Printf.sprintf "object %d handed out twice" o.id)
 
 let checkin o = Atomic.set o.checked_out false
 
@@ -116,6 +119,7 @@ let test_multidomain_stress () =
             Pool.flush_local p))
   in
   List.iter Domain.join domains;
+  Alcotest.(check bool) "invariants hold" true (Pool.check p);
   let st = Pool.stats p in
   Alcotest.(check int) "allocs = frees" (Pstats.allocs st) (Pstats.frees st);
   Alcotest.(check bool) "magazines absorb most traffic" true
@@ -127,7 +131,122 @@ let test_depot_overflow_drops () =
   List.iter (fun o -> Pool.release p o) objs;
   (* 20 releases with a 2-target magazine (holds 4) and a 1-batch depot:
      something must have been dropped to the GC. *)
-  Alcotest.(check bool) "drops counted" true (Pstats.drops (Pool.stats p) > 0)
+  Alcotest.(check bool) "drops counted" true (Pstats.drops (Pool.stats p) > 0);
+  Alcotest.(check bool) "invariants hold" true (Pool.check p)
+
+(* Overflow is bounded and leaves the pool serving. *)
+let test_depot_overflow_bounded () =
+  let p = make_pool ~target:2 ~depot_batches:1 () in
+  let objs = List.init 40 (fun _ -> Pool.alloc p) in
+  List.iter (Pool.release p) objs;
+  let s = Pstats.read (Pool.stats p) in
+  Alcotest.(check bool) "drops happened" true (s.Pstats.s_drops > 0);
+  Alcotest.(check int) "all frees counted" 40 s.Pstats.s_frees;
+  (* Capacity bounds what survives: one depot batch + the magazine. *)
+  Alcotest.(check bool) "depot respects bound" true (Pool.depot_batches p <= 1);
+  Alcotest.(check bool) "invariants hold" true (Pool.check p);
+  let o = Pool.alloc p in
+  Alcotest.(check bool) "pool still serves" true (o.id >= 0);
+  Pool.release p o
+
+(* Pstats is safe to read while writers race. *)
+let test_pstats_racing_readers () =
+  let s = Pstats.create () in
+  let per_domain = 50_000 in
+  let writer () =
+    for _ = 1 to per_domain do
+      Pstats.incr_alloc s;
+      Pstats.incr_free s;
+      Pstats.note_depot_acquire s ~contended:false
+    done
+  in
+  let ds = List.init 2 (fun _ -> Domain.spawn writer) in
+  (* Race reads against the writers: every read must be a valid count,
+     and each counter must be monotone across successive reads. *)
+  let last = ref 0 in
+  for _ = 1 to 2_000 do
+    let snap = Pstats.read s in
+    let a = snap.Pstats.s_allocs in
+    if a < !last then Alcotest.failf "allocs went backwards: %d < %d" a !last;
+    last := a;
+    if snap.Pstats.s_frees < 0 then Alcotest.fail "negative frees"
+  done;
+  List.iter Domain.join ds;
+  let snap = Pstats.read s in
+  Alcotest.(check int) "exact allocs" (2 * per_domain) snap.Pstats.s_allocs;
+  Alcotest.(check int) "exact frees" (2 * per_domain) snap.Pstats.s_frees;
+  Alcotest.(check int)
+    "exact acquires" (2 * per_domain) snap.Pstats.s_depot_acquires;
+  Alcotest.(check int) "no contention recorded" 0 snap.Pstats.s_depot_contended
+
+(* flush_local makes a domain's stock reachable from the domain that
+   outlives it. *)
+let test_flush_local_cross_domain () =
+  let p = make_pool ~target:4 ~depot_batches:8 () in
+  let d =
+    Domain.spawn (fun () ->
+        let objs = List.init 8 (fun _ -> Pool.alloc p) in
+        List.iter (Pool.release p) objs;
+        Pool.flush_local p)
+  in
+  Domain.join d;
+  let created = Pstats.creates (Pool.stats p) in
+  (* Everything the worker built is now in the depot: this domain can
+     allocate without paying constructor cost. *)
+  let mine = List.init 8 (fun _ -> Pool.alloc p) in
+  Alcotest.(check int)
+    "no new constructions" created
+    (Pstats.creates (Pool.stats p));
+  List.iter (Pool.release p) mine
+
+(* A reset raising mid-release abandons the object. *)
+let test_reset_raising () =
+  let p =
+    make_pool ~reset:(fun o -> if o.dirty then failwith "poisoned reset") ()
+  in
+  let a = Pool.alloc p in
+  a.dirty <- true;
+  (match Pool.release p a with
+  | () -> Alcotest.fail "expected the reset exception to propagate"
+  | exception Failure _ -> ());
+  let s = Pstats.read (Pool.stats p) in
+  Alcotest.(check int) "abandoned, not freed" 0 s.Pstats.s_frees;
+  (* The poisoned object re-entered nothing: the next alloc builds a
+     fresh one, and normal traffic still flows. *)
+  let b = Pool.alloc p in
+  Alcotest.(check bool) "fresh object" true (b.id <> a.id);
+  Pool.release p b;
+  Alcotest.(check int) "pool usable after" 1
+    (Pstats.frees (Pool.stats p))
+
+(* target:1 (no batching) still round-trips. *)
+let test_target_one () =
+  let p = make_pool ~target:1 ~depot_batches:2 () in
+  for _ = 1 to 10 do
+    let o = Pool.alloc p in
+    Pool.release p o
+  done;
+  let s = Pstats.read (Pool.stats p) in
+  Alcotest.(check int) "balanced" s.Pstats.s_allocs s.Pstats.s_frees;
+  Alcotest.(check bool) "tiny working set" true (s.Pstats.s_creates <= 3)
+
+(* refill, the SpeedMalloc dedicated-core hook. *)
+let test_refill () =
+  let p = make_pool ~target:4 ~depot_batches:4 () in
+  Alcotest.(check int) "kept until full" 4 (Pool.refill p ~batches:10);
+  let s = Pstats.read (Pool.stats p) in
+  Alcotest.(check int) "prefills counted" 4 s.Pstats.s_prefills;
+  Alcotest.(check int) "one speculative batch dropped" 1 s.Pstats.s_drops;
+  Alcotest.(check int) "depot fully stocked" 4 (Pool.depot_batches p);
+  (* Workers now never pay constructor cost. *)
+  let o = Pool.alloc p in
+  Alcotest.(check int) "no create on alloc" 0
+    (Pstats.creates (Pool.stats p));
+  Pool.release p o;
+  Alcotest.(check int) "zero batches is a no-op" 0 (Pool.refill p ~batches:0);
+  Alcotest.check_raises "negative batches rejected"
+    (Invalid_argument "Pool.refill: batches < 0") (fun () ->
+      ignore (Pool.refill p ~batches:(-1)))
 
 let prop_single_domain_traffic =
   QCheck.Test.make ~name:"random traffic keeps stats consistent" ~count:100
@@ -135,16 +254,18 @@ let prop_single_domain_traffic =
     (fun ops ->
       let p = make_pool ~target:3 ~depot_batches:4 () in
       let live = ref [] in
-      List.iter
+      List.for_all
         (fun is_alloc ->
-          if is_alloc then live := Pool.alloc p :: !live
-          else
-            match !live with
-            | o :: rest ->
-                live := rest;
-                Pool.release p o
-            | [] -> ())
-        ops;
+          (if is_alloc then live := Pool.alloc p :: !live
+           else
+             match !live with
+             | o :: rest ->
+                 live := rest;
+                 Pool.release p o
+             | [] -> Pool.flush_local p);
+          Pool.check p)
+        ops
+      &&
       let st = Pool.stats p in
       Pstats.allocs st - Pstats.frees st = List.length !live)
 
@@ -162,5 +283,14 @@ let suite =
       test_multidomain_stress;
     Alcotest.test_case "depot overflow drops to GC" `Quick
       test_depot_overflow_drops;
+    Alcotest.test_case "depot overflow bounded, pool serves" `Quick
+      test_depot_overflow_bounded;
+    Alcotest.test_case "pstats racing readers" `Quick
+      test_pstats_racing_readers;
+    Alcotest.test_case "flush_local cross-domain" `Quick
+      test_flush_local_cross_domain;
+    Alcotest.test_case "reset raising abandons" `Quick test_reset_raising;
+    Alcotest.test_case "target:1" `Quick test_target_one;
+    Alcotest.test_case "refill" `Quick test_refill;
     QCheck_alcotest.to_alcotest prop_single_domain_traffic;
   ]

@@ -76,26 +76,6 @@ let test_open_arrival () =
     "latency measured" true
     (o.Service.o_p50 > 0. && not (Float.is_nan o.Service.o_p999))
 
-let test_adaptive_mode () =
-  let o =
-    Service.run
-      {
-        (small ~domains:2 ~requests:20_000 "producer_consumer") with
-        Service.mode = `Adaptive;
-        target = 4;
-        depot_batches = 4;
-      }
-  in
-  check_balanced o;
-  let s = o.Service.o_stats in
-  Alcotest.(check int)
-    "trajectory records every step"
-    (s.Pstats.s_grows + s.Pstats.s_shrinks)
-    (List.length o.Service.o_trajectory);
-  Alcotest.(check bool)
-    "geometry stayed in range" true
-    (o.Service.o_final_target >= 4 && o.Service.o_final_target <= 32)
-
 let test_refill_domain () =
   let o =
     Service.run
@@ -116,6 +96,5 @@ let suite =
     Alcotest.test_case "alloc count deterministic" `Quick
       test_alloc_count_deterministic;
     Alcotest.test_case "open arrival" `Quick test_open_arrival;
-    Alcotest.test_case "adaptive mode" `Quick test_adaptive_mode;
     Alcotest.test_case "refill domain" `Quick test_refill_domain;
   ]
