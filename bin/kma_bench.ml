@@ -1,5 +1,6 @@
-(* Experiment driver: one subcommand per paper artifact.  See DESIGN.md
-   for the experiment index and EXPERIMENTS.md for recorded results. *)
+(* Experiment driver: one subcommand per paper artifact, plus [bench],
+   the full harness that runs them all.  See DESIGN.md for the
+   experiment index and EXPERIMENTS.md for recorded results. *)
 
 open Cmdliner
 
@@ -96,10 +97,11 @@ let jobs_flag =
            (default: the host's recommended domain count).  Results are \
            bit-identical at any job count.")
 
-(* Shared --geometry plumbing: the flag overrides whatever the
-   KMA_GEOMETRY environment variable installed at startup.  Parse
-   errors are usage errors at the cmdliner layer (non-zero exit before
-   any simulation runs). *)
+(* Shared --geometry plumbing: evaluating the term installs the flag's
+   geometry as the ambient one, overriding whatever the KMA_GEOMETRY
+   environment variable installed at startup; a run function receives
+   the resulting [()] after the install.  Parse errors are usage errors
+   at the cmdliner layer (non-zero exit before any simulation runs). *)
 let geometry_conv =
   let parse s =
     match Sim.Geometry.of_string s with
@@ -110,19 +112,17 @@ let geometry_conv =
   Arg.conv (parse, print)
 
 let geometry_flag =
-  Arg.(
-    value
-    & opt (some geometry_conv) None
-    & info [ "geometry" ] ~docv:"SPEC"
-        ~doc:
-          "Cache geometry and cost model for the simulated machine, as a \
-           comma-separated key=value list over the recorded-results \
-           default (keys: line, lines, assoc, insn, miss, c2c, upgrade, \
-           rmw).  Overrides the $(b,KMA_GEOMETRY) environment variable.")
-
-let with_geometry g f =
-  (match g with Some g -> Sim.Geometry.set_ambient g | None -> ());
-  f ()
+  Term.(
+    const (Option.iter Sim.Geometry.set_ambient)
+    $ Arg.(
+        value
+        & opt (some geometry_conv) None
+        & info [ "geometry" ] ~docv:"SPEC"
+            ~doc:
+              "Cache geometry and cost model for the simulated machine, as \
+               a comma-separated key=value list over the recorded-results \
+               default (keys: line, lines, assoc, insn, miss, c2c, upgrade, \
+               rmw).  Overrides the $(b,KMA_GEOMETRY) environment variable."))
 
 (* Allocator names are user input on several subcommands; an unknown
    name must fail usage-style with the full roster, so a typo never
@@ -178,8 +178,7 @@ let fig7_cmd =
           ~doc:"Write PREFIX.dat and PREFIX.gp for rendering with gnuplot.")
   in
   let whichs = allocs_flag ~default:Baseline.Allocator.all in
-  let run geometry whichs cpus iters bytes semilog gnuplot jobs =
-    with_geometry geometry @@ fun () ->
+  let run () whichs cpus iters bytes semilog gnuplot jobs =
     let points = Experiments.Fig7.run ~jobs ~whichs ~cpus ~iters ~bytes () in
     Experiments.Fig7.print_linear points;
     if semilog then Experiments.Fig7.print_semilog points;
@@ -264,11 +263,13 @@ let fig9_cmd =
     (Cmd.info "fig9" ~doc:"Worst-case pairs/s vs block size (Figure 9).")
     Term.(const run $ alloc $ memory $ cap $ gnuplot)
 
+let run_opcounts jobs =
+  Experiments.Opcounts.print (Experiments.Opcounts.run ~jobs ())
+
 let opcounts_cmd =
-  let run jobs = Experiments.Opcounts.print (Experiments.Opcounts.run ~jobs ()) in
   Cmd.v
     (Cmd.info "opcounts" ~doc:"Warm fast-path instruction counts (E2).")
-    Term.(const run $ jobs_flag)
+    Term.(const run_opcounts $ jobs_flag)
 
 (* Shared --lockcheck plumbing: enable the synchronization validator
    around a workload run and print its report afterwards.  The checker
@@ -345,20 +346,20 @@ let with_heapcheck ~mode f =
           if Heapcheck.violation_count () > 0 then exit 3;
           r)
 
+let run_analysis samples lockcheck =
+  with_lockcheck ~enabled:lockcheck (fun () ->
+      Experiments.Analysis.print (Experiments.Analysis.run ~samples ()))
+
 let analysis_cmd =
   let samples =
     Arg.(value & opt int 200 & info [ "samples" ] ~doc:"Operations to trace.")
-  in
-  let run samples lockcheck =
-    with_lockcheck ~enabled:lockcheck (fun () ->
-        Experiments.Analysis.print (Experiments.Analysis.run ~samples ()))
   in
   Cmd.v
     (Cmd.info "analysis"
        ~doc:
          "allocb/freeb access-cost profile on the old allocator (E1); \
           $(b,--lockcheck) validates the synchronization discipline (E9).")
-    Term.(const run $ samples $ lockcheck_flag)
+    Term.(const run_analysis $ samples $ lockcheck_flag)
 
 (* Shared --flight-recorder plumbing: install a recorder around a
    workload run and print the report afterwards.  Recording is
@@ -386,6 +387,27 @@ let with_flightrec ~enabled ~ncpus f =
         r)
   end
 
+(* The flight recorder and lockcheck keep host-GLOBAL state (one
+   installed recorder, one lock graph), so runs with either enabled are
+   serialized onto the calling domain; heapcheck state is domain-local
+   with a shard/absorb merge, so it composes with any job count.  See
+   DESIGN.md "Concurrency invariants". *)
+let effective_jobs ~flightrec ~lockcheck jobs =
+  if (flightrec || lockcheck) && jobs > 1 then begin
+    prerr_endline
+      "kma_bench: note: --flight-recorder/--lockcheck keep host-global \
+       state; forcing --jobs 1 (heapcheck shards and is unaffected)";
+    1
+  end
+  else jobs
+
+(* All three checkers around one run, outermost first: heapcheck's exit
+   status wraps the lockcheck report, which wraps the recorder's. *)
+let with_checkers ~heapcheck ~lockcheck ~flightrec ~ncpus f =
+  with_heapcheck ~mode:heapcheck (fun () ->
+      with_lockcheck ~enabled:lockcheck (fun () ->
+          with_flightrec ~enabled:flightrec ~ncpus f))
+
 let missrates_cmd =
   let ncpus = Arg.(value & opt cpus_conv 4 & info [ "cpus" ] ~doc:"CPUs.") in
   let txs =
@@ -393,18 +415,12 @@ let missrates_cmd =
       value & opt int 3000
       & info [ "transactions" ] ~doc:"Transactions per CPU.")
   in
-  let run geometry ncpus txs flightrec lockcheck heapcheck =
-    with_geometry geometry @@ fun () ->
-    with_heapcheck ~mode:heapcheck (fun () ->
-        with_lockcheck ~enabled:lockcheck (fun () ->
-            with_flightrec ~enabled:flightrec ~ncpus (fun () ->
-                let r =
-                  Experiments.Missrates.run ~ncpus ~transactions_per_cpu:txs ()
-                in
-                Experiments.Missrates.print r;
-                if not (Experiments.Missrates.within_bounds r) then
-                  print_endline
-                    "WARNING: a measured rate exceeded its analytic bound")))
+  let run () ncpus txs flightrec lockcheck heapcheck =
+    with_checkers ~heapcheck ~lockcheck ~flightrec ~ncpus (fun () ->
+        let r = Experiments.Missrates.run ~ncpus ~transactions_per_cpu:txs () in
+        Experiments.Missrates.print r;
+        if not (Experiments.Missrates.within_bounds r) then
+          print_endline "WARNING: a measured rate exceeded its analytic bound")
   in
   Cmd.v
     (Cmd.info "missrates"
@@ -438,21 +454,8 @@ let pressure_cmd =
     Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Fault-injection seed.")
   in
   let run ncpus rounds batch rates seed flightrec lockcheck heapcheck jobs =
-    (* The flight recorder and lockcheck keep host-global state, so
-       their cells cannot fan out; heapcheck shards (domain-local state,
-       deterministic merge) and composes with any job count. *)
-    let jobs =
-      if (flightrec || lockcheck) && jobs > 1 then begin
-        prerr_endline
-          "kma_bench: note: --flight-recorder/--lockcheck keep host-global \
-           state; forcing --jobs 1 (heapcheck shards and is unaffected)";
-        1
-      end
-      else jobs
-    in
-    with_heapcheck ~mode:heapcheck (fun () ->
-    with_lockcheck ~enabled:lockcheck (fun () ->
-    with_flightrec ~enabled:flightrec ~ncpus (fun () ->
+    let jobs = effective_jobs ~flightrec ~lockcheck jobs in
+    with_checkers ~heapcheck ~lockcheck ~flightrec ~ncpus (fun () ->
         let r =
           Experiments.Pressure.run ~jobs ~ncpus ~rounds ~batch ~rates ~seed ()
         in
@@ -468,7 +471,7 @@ let pressure_cmd =
           else
             print_endline
               "WARNING: the E8 graceful-degradation shape did not hold"
-        end)))
+        end)
   in
   Cmd.v
     (Cmd.info "pressure"
@@ -573,6 +576,22 @@ let cyclic_cmd =
        ~doc:"Day/night workload: coalescing reuses day memory at night.")
     Term.(const run $ days)
 
+let run_crosscpu roster pairs blocks jobs =
+  Experiments.Series.heading "Producer/consumer flow through the global layer";
+  let rows =
+    Parallel.map ~jobs
+      (fun which ->
+        let r =
+          Workload.Crosscpu.run ~which ~pairs ~blocks_per_pair:blocks ()
+        in
+        [
+          Baseline.Allocator.name_of which;
+          Experiments.Series.sci r.Workload.Crosscpu.transfers_per_sec;
+        ])
+      roster
+  in
+  Experiments.Series.table ~header:[ "allocator"; "transfers/s" ] rows
+
 let crosscpu_cmd =
   let pairs =
     Arg.(value & opt int 2 & info [ "pairs" ] ~doc:"Producer/consumer pairs.")
@@ -582,27 +601,14 @@ let crosscpu_cmd =
       value & opt int 2000
       & info [ "blocks" ] ~doc:"Blocks transferred per pair.")
   in
-  let run pairs blocks jobs =
-    Experiments.Series.heading
-      "Producer/consumer flow through the global layer";
-    let rows =
-      Parallel.map ~jobs
-        (fun which ->
-          let r =
-            Workload.Crosscpu.run ~which ~pairs ~blocks_per_pair:blocks ()
-          in
-          [
-            Baseline.Allocator.name_of which;
-            Experiments.Series.sci r.Workload.Crosscpu.transfers_per_sec;
-          ])
-        (Baseline.Allocator.all @ [ Baseline.Allocator.Lazybuddy ])
-    in
-    Experiments.Series.table ~header:[ "allocator"; "transfers/s" ] rows
-  in
   Cmd.v
     (Cmd.info "crosscpu"
        ~doc:"Cross-CPU producer/consumer throughput (the global layer's job).")
-    Term.(const run $ pairs $ blocks $ jobs_flag)
+    Term.(
+      const
+        (run_crosscpu
+           (Baseline.Allocator.all @ [ Baseline.Allocator.Lazybuddy ]))
+      $ pairs $ blocks $ jobs_flag)
 
 let trace_cmd =
   let ops =
@@ -820,6 +826,29 @@ let scenario_cmd =
       const run $ name_arg $ seed $ scale $ cpus $ windows $ report $ whichs
       $ heapcheck_flag)
 
+let run_lockfree () whichs cpus iters bytes pairs blocks jobs =
+  (* Both the best-case sweep and the storm drain-check every cell, so
+     the handler covers the whole run, not just the first sweep. *)
+  try
+    let points =
+      Experiments.Lockfree_arms.run ~jobs ~whichs ~cpus ~iters ~bytes ()
+    in
+    Experiments.Lockfree_arms.print_throughput points;
+    Experiments.Lockfree_arms.print_retries points;
+    Experiments.Lockfree_arms.print_crosscpu
+      (Experiments.Lockfree_arms.run_crosscpu ~jobs ~whichs ~pairs
+         ~blocks_per_pair:blocks ~bytes ());
+    Experiments.Lockfree_arms.print_storm
+      (Experiments.Lockfree_arms.run_storm ~jobs
+         ~whichs:
+           (List.filter
+              (fun w -> List.mem w Baseline.Allocator.lockfree)
+              whichs)
+         ~cpus ())
+  with Experiments.Lockfree_arms.Conservation msg ->
+    Printf.eprintf "kma_bench lockfree: conservation violated: %s\n" msg;
+    exit 3
+
 let lockfree_cmd =
   let cpus =
     Arg.(
@@ -853,30 +882,6 @@ let lockfree_cmd =
       value & opt int 400
       & info [ "blocks" ] ~doc:"Blocks transferred per pair (remote sweep).")
   in
-  let run geometry whichs cpus iters bytes pairs blocks jobs =
-    with_geometry geometry @@ fun () ->
-    match Experiments.Lockfree_arms.run ~jobs ~whichs ~cpus ~iters ~bytes () with
-    | points -> (
-        Experiments.Lockfree_arms.print_throughput points;
-        Experiments.Lockfree_arms.print_retries points;
-        let remote =
-          Experiments.Lockfree_arms.run_crosscpu ~jobs ~whichs ~pairs
-            ~blocks_per_pair:blocks ~bytes ()
-        in
-        Experiments.Lockfree_arms.print_crosscpu remote;
-        let storm =
-          Experiments.Lockfree_arms.run_storm ~jobs
-            ~whichs:
-              (List.filter
-                 (fun w -> List.mem w Baseline.Allocator.lockfree)
-                 whichs)
-            ~cpus ()
-        in
-        Experiments.Lockfree_arms.print_storm storm)
-    | exception Experiments.Lockfree_arms.Conservation msg ->
-        Printf.eprintf "kma_bench lockfree: conservation violated: %s\n" msg;
-        exit 3
-  in
   Cmd.v
     (Cmd.info "lockfree"
        ~doc:
@@ -884,8 +889,12 @@ let lockfree_cmd =
           methodology over the non-blocking arms, with CAS-retry and \
           helping counters and a conservation check per cell.")
     Term.(
-      const run $ geometry_flag $ whichs $ cpus $ iters $ bytes $ pairs
+      const run_lockfree $ geometry_flag $ whichs $ cpus $ iters $ bytes $ pairs
       $ blocks $ jobs_flag)
+
+let run_numa () whichs cpus nodes iters depth bytes jobs =
+  Experiments.Numa.print ~depth
+    (Experiments.Numa.run ~jobs ~whichs ~cpus ~nodes ~iters ~depth ~bytes ())
 
 let numa_cmd =
   let node_list_conv =
@@ -940,11 +949,6 @@ let numa_cmd =
     Arg.(value & opt int 256 & info [ "bytes" ] ~doc:"Block size.")
   in
   let whichs = allocs_flag ~default:Experiments.Numa.default_whichs in
-  let run geometry whichs cpus nodes iters depth bytes jobs =
-    with_geometry geometry @@ fun () ->
-    Experiments.Numa.print ~depth
-      (Experiments.Numa.run ~jobs ~whichs ~cpus ~nodes ~iters ~depth ~bytes ())
-  in
   Cmd.v
     (Cmd.info "numa"
        ~doc:
@@ -954,8 +958,12 @@ let numa_cmd =
           nodes/node_miss/node_c2c price the cross-node surcharges); \
           $(b,--nodes) sweeps the machine's node count on top of it.")
     Term.(
-      const run $ geometry_flag $ whichs $ cpus $ nodes $ iters $ depth
+      const run_numa $ geometry_flag $ whichs $ cpus $ nodes $ iters $ depth
       $ bytes $ jobs_flag)
+
+let run_geometry () ncpus iters depth bytes jobs =
+  Experiments.Geomsweep.print ~ncpus ~depth
+    (Experiments.Geomsweep.run ~jobs ~ncpus ~iters ~depth ~bytes ())
 
 let geometry_cmd =
   let ncpus =
@@ -978,11 +986,6 @@ let geometry_cmd =
   let bytes =
     Arg.(value & opt int 256 & info [ "bytes" ] ~doc:"Block size.")
   in
-  let run geometry ncpus iters depth bytes jobs =
-    with_geometry geometry @@ fun () ->
-    Experiments.Geomsweep.print ~ncpus ~depth
-      (Experiments.Geomsweep.run ~jobs ~ncpus ~iters ~depth ~bytes ())
-  in
   Cmd.v
     (Cmd.info "geometry"
        ~doc:
@@ -991,7 +994,8 @@ let geometry_cmd =
           cookie.  $(b,--geometry) here sets the $(i,base) cost model the \
           sweep varies line size and associativity around.")
     Term.(
-      const run $ geometry_flag $ ncpus $ iters $ depth $ bytes $ jobs_flag)
+      const run_geometry $ geometry_flag $ ncpus $ iters $ depth $ bytes
+      $ jobs_flag)
 
 let service_cmd =
   let name_arg =
@@ -1138,6 +1142,662 @@ let service_cmd =
       const run $ name_arg $ domains $ requests $ seed $ refill
       $ target $ depot_batches $ arrival $ obj_bytes)
 
+(* --- bench: the full harness, every paper artifact at a scale that
+   completes in a few minutes, plus the ablations called out in
+   DESIGN.md and the native-pool sections.  Sections that match a
+   subcommand call its run function at bench scale. --- *)
+
+(* Host-side wall clock for section timing: monotonic, so NTP steps or
+   host clock slews can never produce negative or skewed section times
+   (Unix.gettimeofday is wall time and can move backwards). *)
+let now_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
+
+(* What the bench flags hand every section; [jobs] already obeys
+   [effective_jobs]. *)
+type bench_ctx = {
+  jobs : int;
+  lockcheck : bool;
+  flightrec : bool;
+  heapcheck : Heapcheck.mode option;
+  allocs : Baseline.Allocator.which list;
+}
+
+(* --- E3/E4: Figures 7 and 8 --- *)
+
+let bench_fig7 c =
+  let points =
+    Experiments.Fig7.run ~jobs:c.jobs ~cpus:[ 1; 2; 4; 8; 12; 16; 20; 25 ]
+      ~iters:400 ()
+  in
+  Experiments.Fig7.print_linear points;
+  Experiments.Fig7.print_semilog points;
+  let open Baseline.Allocator in
+  Printf.printf "\ncookie speedup: %s\n"
+    (String.concat ", "
+       (List.map
+          (fun (n, s) -> Printf.sprintf "%dcpu=%.1fx" n s)
+          (Experiments.Fig7.speedup points ~which:Cookie)));
+  Printf.printf "single-CPU cookie/oldkma: %.1fx (paper: 15x)\n"
+    (Experiments.Fig7.single_cpu_ratio points ~num:Cookie ~den:Oldkma);
+  let at n w =
+    match
+      List.find_opt
+        (fun p -> p.Experiments.Fig7.which = w && p.Experiments.Fig7.ncpus = n)
+        points
+    with
+    | Some p -> p.Experiments.Fig7.pairs_per_sec
+    | None -> Float.nan
+  in
+  Printf.printf "25-CPU cookie/oldkma: %.0fx (paper: >1000x)\n"
+    (at 25 Cookie /. at 25 Oldkma)
+
+(* --- E5: Figure 9 --- *)
+
+let bench_fig9 c =
+  (* Each Fig9 sweep runs every size on ONE machine (cache warmth
+     carries from size to size), so the per-size cells are not
+     independent; the two allocator sweeps are, and fan out. *)
+  let results, mk =
+    match
+      Parallel.map ~jobs:c.jobs
+        (fun which -> Experiments.Fig9.run ?which ~memory_words:(256 * 1024) ())
+        [ None; Some Baseline.Allocator.Mk ]
+    with
+    | [ results; mk ] -> (results, mk)
+    | _ -> assert false
+  in
+  Experiments.Fig9.print results;
+  Printf.printf "sweep completed without wedging: %b\n"
+    (Experiments.Fig9.completed results);
+  (* The paper's side claim: an allocator without coalescing cannot
+     complete this benchmark. *)
+  let wedged = List.filter (fun r -> r.Workload.Worstcase.blocks <= 10) mk in
+  Printf.printf
+    "mk (no coalescing) wedged on %d of %d sizes, as the paper predicts\n"
+    (List.length wedged) (List.length mk)
+
+(* --- E6: DLM miss rates --- *)
+
+let bench_missrates c =
+  with_checkers ~heapcheck:c.heapcheck ~lockcheck:c.lockcheck
+    ~flightrec:c.flightrec ~ncpus:4 (fun () ->
+      let r = Experiments.Missrates.run ~transactions_per_cpu:2000 () in
+      Experiments.Missrates.print r;
+      Printf.printf "all rates within analytic bounds: %b\n"
+        (Experiments.Missrates.within_bounds r))
+
+(* --- E8: memory pressure --- *)
+
+let bench_pressure c =
+  with_checkers ~heapcheck:c.heapcheck ~lockcheck:c.lockcheck
+    ~flightrec:c.flightrec ~ncpus:4 (fun () ->
+      let r = Experiments.Pressure.run ~jobs:c.jobs () in
+      Experiments.Pressure.print r;
+      Printf.printf "\ngraceful degradation at 20%% denials: %b\n"
+        (Experiments.Pressure.graceful r))
+
+(* --- Fuzz: differential fuzz of the new allocator (lib/heapcheck) --- *)
+
+let bench_fuzz c =
+  Experiments.Series.heading
+    "Differential fuzz vs reference model (heap invariants)";
+  let matrix =
+    [
+      ("paranoid", Heapcheck.Fuzz.config ~ops:1500 ~seed:21 ());
+      ( "pressure + faults",
+        Heapcheck.Fuzz.config ~ops:1500 ~seed:22 ~pressure:true
+          ~fault_rate:0.3 () );
+      ( "debug kernel, sweep",
+        Heapcheck.Fuzz.config ~ops:1500 ~seed:23 ~debug:true ~check_every:32
+          () );
+    ]
+  in
+  let outcomes =
+    Heapcheck.Fuzz.run_matrix ~jobs:c.jobs (List.map snd matrix)
+  in
+  let failed = ref false in
+  List.iter2
+    (fun (name, _) (o : Heapcheck.Fuzz.outcome) ->
+      Printf.printf "%-28s %5d checks  %5d allocs  %5d frees  %s\n" name
+        o.Heapcheck.Fuzz.checks o.Heapcheck.Fuzz.allocs o.Heapcheck.Fuzz.frees
+        (match o.Heapcheck.Fuzz.failure with
+        | None -> "ok"
+        | Some f -> Printf.sprintf "FAILED at op %d" f.Heapcheck.Fuzz.index);
+      if o.Heapcheck.Fuzz.failure <> None then failed := true)
+    matrix outcomes;
+  if !failed then exit 3
+
+(* --- Ablation A: the target parameter --- *)
+
+let bench_ablation_target c =
+  Experiments.Series.heading
+    "Ablation: per-CPU target (1 = no batching, the paper's free-singly \
+     strawman)";
+  let rows =
+    Parallel.map ~jobs:c.jobs
+      (fun target ->
+        let cfg = Workload.Rig.paper_config ~ncpus:4 () in
+        let m = Sim.Machine.create cfg in
+        let params =
+          let base =
+            Kma.Params.auto ~memory_words:cfg.Sim.Config.memory_words
+          in
+          Kma.Params.make ~vmblk_pages:base.Kma.Params.vmblk_pages
+            ~targets:(Array.make 9 target)
+            ~gbltargets:(Array.make 9 (Kma.Params.default_gbltarget ~target))
+            ()
+        in
+        let kmem = Kma.Kmem.create m ~params () in
+        let r = Dlm.Oltp.run ~kmem ~ncpus:4 ~transactions_per_cpu:800 () in
+        let stats = Kma.Kmem.stats kmem in
+        (* 64-byte class carries the note + resource traffic. *)
+        let si = 2 in
+        [
+          string_of_int target;
+          Experiments.Series.pct (Kma.Kstats.percpu_alloc_miss_rate stats ~si);
+          Experiments.Series.pct
+            (Kma.Kstats.combined_alloc_miss_rate stats ~si);
+          Experiments.Series.sci
+            (float_of_int r.Dlm.Oltp.transactions
+            /. Sim.Config.seconds_of_cycles cfg r.Dlm.Oltp.cycles);
+        ])
+      [ 1; 2; 5; 10; 20 ]
+  in
+  Experiments.Series.table
+    ~header:[ "target"; "pcpu miss (64B)"; "combined miss"; "tx/s" ]
+    rows;
+  print_endline
+    "expected: miss rates fall roughly as 1/target; throughput rises then \
+     flattens"
+
+(* --- Ablation B: radix page order vs emptiest-first --- *)
+
+let bench_ablation_page_policy c =
+  Experiments.Series.heading "Ablation: coalesce-to-page selection policy";
+  (* Steady churn on one size class: repeatedly free a random fraction
+     of the live set and allocate back a bit less, with a tiny per-CPU
+     cache so traffic reaches the page layer.  The radix order
+     (fullest-first) concentrates allocations in full pages, letting
+     sparse pages drain to the VM system; the emptiest-first strawman
+     keeps refilling the sparse pages. *)
+  let churn policy =
+    let cfg =
+      Workload.Rig.paper_config ~ncpus:1 ~memory_words:(1024 * 1024) ()
+    in
+    let m = Sim.Machine.create cfg in
+    let params =
+      let base = Kma.Params.auto ~memory_words:cfg.Sim.Config.memory_words in
+      Kma.Params.make ~vmblk_pages:base.Kma.Params.vmblk_pages
+        ~targets:(Array.make 9 2) ~gbltargets:(Array.make 9 2)
+        ~page_policy:policy ()
+    in
+    let kmem = Kma.Kmem.create m ~params () in
+    let rng = Workload.Prng.create ~seed:3 in
+    let bytes = 256 in
+    let final = ref (0, 0, 0) in
+    Sim.Machine.run m
+      [|
+        (fun _ ->
+          let live = ref [] in
+          let nlive = ref 0 in
+          let alloc_n n =
+            for _ = 1 to n do
+              match Kma.Kmem.try_alloc kmem ~bytes with
+              | Some a ->
+                  live := a :: !live;
+                  incr nlive
+              | None -> ()
+            done
+          in
+          let free_frac pct =
+            let keep = ref [] in
+            let freed = ref 0 in
+            List.iter
+              (fun a ->
+                if Workload.Prng.int rng ~bound:100 < pct then begin
+                  Kma.Kmem.free kmem ~addr:a ~bytes;
+                  decr nlive;
+                  incr freed
+                end
+                else keep := a :: !keep)
+              !live;
+            live := !keep;
+            !freed
+          in
+          alloc_n 600;
+          for _round = 1 to 30 do
+            let freed = free_frac 30 in
+            (* Allocate back slightly less, so sparse pages have a
+               chance to drain while the live set stays large. *)
+            alloc_n (freed * 5 / 6)
+          done;
+          let st = Kma.Kmem.stats kmem in
+          let si = 4 in
+          final :=
+            ( Kma.Kmem.granted_pages_oracle kmem,
+              (Kma.Kstats.size st si).Kma.Kstats.pages_returned,
+              !nlive ));
+      |];
+    !final
+  in
+  let (f_pages, f_ret, f_live), (e_pages, e_ret, e_live) =
+    match
+      Parallel.map ~jobs:c.jobs churn
+        [ Kma.Params.Fullest_first; Kma.Params.Emptiest_first ]
+    with
+    | [ f; e ] -> (f, e)
+    | _ -> assert false
+  in
+  Experiments.Series.table
+    ~header:[ "policy"; "live blocks"; "pages held"; "pages recycled" ]
+    [
+      [ "fullest-first (paper)"; string_of_int f_live; string_of_int f_pages;
+        string_of_int f_ret ];
+      [ "emptiest-first"; string_of_int e_live; string_of_int e_pages;
+        string_of_int e_ret ];
+    ];
+  print_endline
+    "expected: same live data, but fullest-first holds it in fewer pages \
+     and recycles more"
+
+(* --- Roads not taken: the watermark lazy buddy --- *)
+
+let bench_roads_not_taken c =
+  Experiments.Series.heading
+    "Roads not taken: Lee-Barkley lazy buddy (global lock, per-op \
+     shared-state traffic)";
+  let open Baseline.Allocator in
+  let points =
+    Experiments.Fig7.run ~jobs:c.jobs ~whichs:[ Cookie; Newkma; Lazybuddy ]
+      ~cpus:[ 1; 2; 4; 8 ] ~iters:400 ()
+  in
+  Experiments.Fig7.print_linear points;
+  print_endline
+    "the lazy buddy is fast on one CPU (lazy frees skip the bitmap) but, as \
+     the paper argues, its global synchronization keeps it from scaling";
+  (* It does coalesce, though: the worst-case sweep completes. *)
+  let sweep =
+    Experiments.Fig9.run ~which:Lazybuddy ~memory_words:(256 * 1024) ()
+  in
+  Printf.printf "lazy buddy completes the worst-case sweep: %b\n"
+    (Experiments.Fig9.completed sweep)
+
+(* --- Native pool: Bechamel microbenchmarks --- *)
+
+let bench_bechamel _ =
+  Experiments.Series.heading
+    "Native OCaml 5 pool (Bechamel, ns/op, single domain)";
+  let open Bechamel in
+  let pooled =
+    Objpool.Pool.create ~ctor:(fun () -> Bytes.create 4096) ~target:16 ()
+  in
+  let locked =
+    Objpool.Locked_pool.create ~ctor:(fun () -> Bytes.create 4096) ()
+  in
+  (* Warm both so steady state is measured. *)
+  Objpool.Pool.release pooled (Objpool.Pool.alloc pooled);
+  Objpool.Locked_pool.release locked (Objpool.Locked_pool.alloc locked);
+  let tests =
+    Test.make_grouped ~name:"pool"
+      [
+        Test.make ~name:"per-domain magazine pair"
+          (Staged.stage (fun () ->
+               let b = Objpool.Pool.alloc pooled in
+               Objpool.Pool.release pooled b));
+        Test.make ~name:"global locked pool pair"
+          (Staged.stage (fun () ->
+               let b = Objpool.Locked_pool.alloc locked in
+               Objpool.Locked_pool.release locked b));
+        Test.make ~name:"fresh Bytes.create 4096"
+          (Staged.stage (fun () ->
+               ignore (Sys.opaque_identity (Bytes.create 4096))));
+      ]
+  in
+  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
+  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
+  let ols =
+    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
+  in
+  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
+  let rows =
+    Hashtbl.fold
+      (fun name o acc ->
+        let est =
+          match Analyze.OLS.estimates o with
+          | Some [ e ] -> Printf.sprintf "%.1f" e
+          | Some _ | None -> "-"
+        in
+        let r2 =
+          match Analyze.OLS.r_square o with
+          | Some r -> Printf.sprintf "%.4f" r
+          | None -> "-"
+        in
+        [ name; est; r2 ] :: acc)
+      results []
+  in
+  Experiments.Series.table
+    ~header:[ "benchmark"; "ns/op"; "r^2" ]
+    (List.sort compare rows)
+
+(* --- Native pool: domain scaling (informational on 1-core hosts) --- *)
+
+let bench_pool_domains _ =
+  Experiments.Series.heading
+    "Native pool vs locked pool under domain contention";
+  let ndomains = max 2 (min 4 (Domain.recommended_domain_count ())) in
+  let ops = 100_000 in
+  let run_pooled () =
+    let p =
+      Objpool.Pool.create ~ctor:(fun () -> Bytes.create 512) ~target:32 ()
+    in
+    let worker () =
+      for _ = 1 to ops do
+        let b = Objpool.Pool.alloc p in
+        Objpool.Pool.release p b
+      done;
+      Objpool.Pool.flush_local p
+    in
+    let t0 = now_s () in
+    let ds = List.init (ndomains - 1) (fun _ -> Domain.spawn worker) in
+    worker ();
+    List.iter Domain.join ds;
+    now_s () -. t0
+  in
+  let run_locked () =
+    let p = Objpool.Locked_pool.create ~ctor:(fun () -> Bytes.create 512) () in
+    let worker () =
+      for _ = 1 to ops do
+        let b = Objpool.Locked_pool.alloc p in
+        Objpool.Locked_pool.release p b
+      done
+    in
+    let t0 = now_s () in
+    let ds = List.init (ndomains - 1) (fun _ -> Domain.spawn worker) in
+    worker ();
+    List.iter Domain.join ds;
+    now_s () -. t0
+  in
+  let tp = run_pooled () and tl = run_locked () in
+  let rate t = float_of_int (ndomains * ops) /. t /. 1e6 in
+  Experiments.Series.table
+    ~header:[ "pool"; "domains"; "M ops/s" ]
+    [
+      [ "per-domain magazines"; string_of_int ndomains;
+        Experiments.Series.f1 (rate tp) ];
+      [ "single mutex"; string_of_int ndomains;
+        Experiments.Series.f1 (rate tl) ];
+    ];
+  if Domain.recommended_domain_count () < 2 then
+    print_endline
+      "note: this host has one core, so contention effects are muted (the \
+       simulated-machine figures above are the scaling result)"
+
+(* --- Scenario library: trace replays + pathology highlights --- *)
+
+(* Host wall time per scenario replay, recorded into BENCH_host.json's
+   "scenarios" array (never printed in the table: the table is
+   simulated data and must stay bit-identical across runs). *)
+let scenario_times : (string * float) list ref = ref []
+
+let bench_scenarios c =
+  Experiments.Series.heading
+    "Scenario library (trace replays on the new allocator)";
+  let rows = Experiments.Scenarios.run ~jobs:c.jobs ~now:now_s () in
+  Experiments.Scenarios.print rows;
+  scenario_times :=
+    List.map
+      (fun (r : Experiments.Scenarios.row) ->
+        (r.Experiments.Scenarios.name, r.Experiments.Scenarios.wall_s))
+      rows;
+  (* Pathology analysis replays under the one installed flight
+     recorder, so it runs serially; it is the bench-level proof that
+     each scenario's target detector fires. *)
+  print_newline ();
+  Experiments.Scenarios.print_highlights ()
+
+(* --- E15: serving traffic through the pool (lib/service) --- *)
+
+(* Outcomes recorded into BENCH_host.json's "service" array: unlike the
+   simulated tables, everything here is real hardware timing. *)
+let service_outcomes : (string * Service.outcome) list ref = ref []
+
+let bench_service _ =
+  Experiments.Series.heading "Serving traffic through the native pool (E15)";
+  let serve ?(refill = false) scenario ~domains ~requests =
+    let cfg =
+      { (Service.default ~scenario) with Service.domains; requests; refill }
+    in
+    let o = Service.run cfg in
+    let label = if refill then scenario ^ "+refill" else scenario in
+    service_outcomes := !service_outcomes @ [ (label, o) ];
+    print_string (Service.to_string o);
+    print_newline ()
+  in
+  (* A steady closed loop, plus the SpeedMalloc dedicated-refill-domain
+     arm on the same load (prefills > 0 proves the stocker ran). *)
+  serve "steady" ~domains:2 ~requests:125_000;
+  serve "steady" ~domains:2 ~requests:125_000 ~refill:true;
+  (* Cross-domain producer/consumer flow, where every object is freed
+     on a different domain than its alloc. *)
+  serve "producer_consumer" ~domains:4 ~requests:150_000
+
+(* Every section in run order, whether its sweep fans out over the job
+   pool (the only ones --compare-jobs1 re-times: analysis and missrates
+   each drive a single machine; the native sections are host
+   microbenchmarks), and its body. *)
+let sections =
+  [
+    ("analysis", false, fun c -> run_analysis 150 c.lockcheck);
+    ("opcounts", true, fun c -> run_opcounts c.jobs);
+    ("fig7", true, bench_fig7);
+    ("fig9", true, bench_fig9);
+    ("missrates", false, bench_missrates);
+    (* ncpus, iters, depth, bytes *)
+    ("geometry", true, fun c -> run_geometry () 8 50 96 256 c.jobs);
+    ("ablation-target", true, bench_ablation_target);
+    ("ablation-pagepolicy", true, bench_ablation_page_policy);
+    ( "crosscpu",
+      true,
+      fun c -> run_crosscpu Baseline.Allocator.all 2 2000 c.jobs );
+    (* cpus, iters, bytes, pairs, blocks per pair *)
+    ( "lockfree",
+      true,
+      fun c ->
+        run_lockfree () c.allocs [ 1; 2; 4; 8; 16; 26 ] 400 256 [ 1; 2; 4; 8 ]
+          300 c.jobs );
+    (* cpus, nodes, iters, depth, bytes *)
+    ( "numa",
+      true,
+      fun c ->
+        run_numa () Experiments.Numa.default_whichs [ 32; 64; 128 ] [ 1; 4 ] 8
+          64 256 c.jobs );
+    ("scenarios", true, bench_scenarios);
+    ("roads-not-taken", true, bench_roads_not_taken);
+    ("bechamel", false, bench_bechamel);
+    ("pool-domains", false, bench_pool_domains);
+    ("service", false, bench_service);
+    ("pressure", true, bench_pressure);
+    ("fuzz", true, bench_fuzz);
+  ]
+
+(* Run [f] with stdout sent to /dev/null: --compare-jobs1 re-runs
+   sections purely for their host time, and their (identical) output
+   must not appear twice. *)
+let silenced f =
+  flush stdout;
+  let saved = Unix.dup Unix.stdout in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  Unix.dup2 devnull Unix.stdout;
+  Unix.close devnull;
+  Fun.protect
+    ~finally:(fun () ->
+      flush stdout;
+      Unix.dup2 saved Unix.stdout;
+      Unix.close saved)
+    f
+
+type record = {
+  rname : string;
+  seconds : float;
+  rjobs : int;
+  seconds_jobs1 : float option;
+}
+
+let json_escape s =
+  let b = Buffer.create (String.length s) in
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
+let write_host_json path ~jobs records =
+  let oc = open_out path in
+  let total = List.fold_left (fun a r -> a +. r.seconds) 0. records in
+  Printf.fprintf oc
+    "{\n\
+    \  \"host_cores\": %d,\n\
+    \  \"recommended_domains\": %d,\n\
+    \  \"jobs\": %d,\n\
+    \  \"geometry\": \"%s\",\n"
+    (Parallel.host_cores ())
+    (Domain.recommended_domain_count ())
+    jobs
+    (json_escape (Sim.Geometry.to_string (Sim.Geometry.ambient ())));
+  Printf.fprintf oc "  \"total_seconds\": %.3f,\n  \"sections\": [\n" total;
+  List.iteri
+    (fun i r ->
+      let speedup =
+        match r.seconds_jobs1 with
+        | Some t1 when r.seconds > 0. -> Printf.sprintf "%.2f" (t1 /. r.seconds)
+        | _ -> "null"
+      in
+      Printf.fprintf oc
+        "    {\"name\": \"%s\", \"seconds\": %.3f, \"jobs\": %d, \
+         \"seconds_jobs1\": %s, \"speedup_vs_jobs1\": %s}%s\n"
+        (json_escape r.rname) r.seconds r.rjobs
+        (match r.seconds_jobs1 with
+        | Some t1 -> Printf.sprintf "%.3f" t1
+        | None -> "null")
+        speedup
+        (if i = List.length records - 1 then "" else ","))
+    records;
+  Printf.fprintf oc "  ],\n  \"scenarios\": [\n";
+  let sts = !scenario_times in
+  List.iteri
+    (fun i (name, seconds) ->
+      Printf.fprintf oc "    {\"name\": \"%s\", \"seconds\": %.3f}%s\n"
+        (json_escape name) seconds
+        (if i = List.length sts - 1 then "" else ","))
+    sts;
+  Printf.fprintf oc "  ],\n  \"service\": [\n";
+  let svc = !service_outcomes in
+  List.iteri
+    (fun i (label, (o : Service.outcome)) ->
+      let s = o.Service.o_stats in
+      Printf.fprintf oc
+        "    {\"name\": \"%s\", \"domains\": %d, \"requests\": %d, \
+         \"ops\": %d, \"seconds\": %.3f, \"ops_per_sec\": %.0f, \
+         \"p50_ns\": %.0f, \"p99_ns\": %.0f, \"p999_ns\": %.0f, \
+         \"creates\": %d, \"depot_acquires\": %d, \"contended\": %d, \
+         \"contention_rate\": %.6f, \"drops\": %d, \"prefills\": %d}%s\n"
+        (json_escape label) o.Service.o_domains o.Service.o_requests
+        o.Service.o_ops o.Service.o_wall_s o.Service.o_ops_per_sec
+        o.Service.o_p50 o.Service.o_p99 o.Service.o_p999
+        s.Service.Pstats.s_creates s.Service.Pstats.s_depot_acquires
+        s.Service.Pstats.s_depot_contended
+        (if Float.is_nan o.Service.o_contention then 0.
+         else o.Service.o_contention)
+        s.Service.Pstats.s_drops s.Service.Pstats.s_prefills
+        (if i = List.length svc - 1 then "" else ","))
+    svc;
+  Printf.fprintf oc "  ]\n}\n";
+  close_out oc
+
+let bench_cmd =
+  let requested =
+    Arg.(
+      value
+      & pos_all
+          (enum (List.map (fun ((name, _, _) as s) -> (name, s)) sections))
+          []
+      & info [] ~docv:"SECTION"
+          ~doc:"Sections to run, in order (default: all of them).")
+  in
+  let host_json =
+    Arg.(
+      value
+      & opt string "BENCH_host.json"
+      & info [ "host-json" ] ~docv:"PATH"
+          ~doc:"Write per-section host timings to $(docv).")
+  in
+  let no_host_json =
+    Arg.(
+      value & flag
+      & info [ "no-host-json" ] ~doc:"Write no host-timing file.")
+  in
+  let compare_jobs1 =
+    Arg.(
+      value & flag
+      & info [ "compare-jobs1" ]
+          ~doc:
+            "Re-run each parallel section at --jobs 1 (output discarded) \
+             and record the speedup in the host-timing file.")
+  in
+  let allocs = allocs_flag ~default:Experiments.Lockfree_arms.default_whichs in
+  let run () requested jobs allocs lockcheck heapcheck flightrec host_json
+      no_host_json compare_jobs1 =
+    let c =
+      {
+        jobs = effective_jobs ~flightrec ~lockcheck jobs;
+        lockcheck;
+        flightrec;
+        heapcheck;
+        allocs;
+      }
+    in
+    let records =
+      List.map
+        (fun (name, parallel, f) ->
+          let rjobs = if parallel then c.jobs else 1 in
+          let t0 = now_s () in
+          f c;
+          let seconds = now_s () -. t0 in
+          Printf.printf "(section took %.1fs of host time)\n" seconds;
+          let seconds_jobs1 =
+            if compare_jobs1 && rjobs > 1 then begin
+              let t1 = now_s () in
+              silenced (fun () -> f { c with jobs = 1 });
+              Some (now_s () -. t1)
+            end
+            else None
+          in
+          { rname = name; seconds; rjobs; seconds_jobs1 })
+        (match requested with [] -> sections | l -> l)
+    in
+    if not no_host_json then write_host_json host_json ~jobs records;
+    print_newline ();
+    print_endline "bench: all requested sections completed"
+  in
+  Cmd.v
+    (Cmd.info "bench"
+       ~doc:
+         "The full harness: every table and figure at a scale that \
+          completes in a few minutes, the ablations, and the native-pool \
+          sections, with per-section host timings written to \
+          $(b,BENCH_host.json).  $(b,--allocs) selects the lockfree \
+          section's arms; the checker flags apply to analysis \
+          ($(b,--lockcheck)), missrates and pressure.")
+    Term.(
+      const run $ geometry_flag $ requested $ jobs_flag $ allocs
+      $ lockcheck_flag $ heapcheck_flag $ flightrec_flag $ host_json
+      $ no_host_json $ compare_jobs1)
+
 let default =
   Term.(
     ret
@@ -1163,5 +1823,5 @@ let () =
             fig7_cmd; fig8_cmd; fig9_cmd; opcounts_cmd; analysis_cmd;
             missrates_cmd; geometry_cmd; numa_cmd; lockfree_cmd;
             pressure_cmd; fuzz_cmd; cyclic_cmd; crosscpu_cmd; trace_cmd;
-            scenario_cmd; service_cmd;
+            scenario_cmd; service_cmd; bench_cmd;
           ]))
