@@ -9,17 +9,23 @@
     DESIGN.md.
 
     Invariants: the stock is read and written only under the depot
-    mutex; [nbatches] equals [length stock] and never exceeds
-    [max_batches]; every stocked batch has at most [target] items;
-    the loose bucket holds fewer than [target] items.  {!check}
-    verifies these.  [target] and [max_batches] are fixed at
-    {!create}, so a batch taken by {!get} always fits a magazine of
-    the same [target].
+    mutex; it holds [nbatches <= max_batches] batches; every stocked
+    batch has between [1] and [target] items, so an array {!get}
+    returns is empty only when the depot is; the loose bucket holds
+    fewer than [target] items.  {!check} verifies these.  [target] and
+    [max_batches] are fixed at {!create}, so a batch taken by {!get}
+    always fits a magazine of the same [target].
+
+    Batches are arrays, stored and handed out whole: a magazine adopts
+    the array it gets and flushes the array it filled, so an exchange
+    copies nothing.  The odd-sized returns of {!put_partial} stay a
+    list internally, off the hot path.
 
     Each data-path exchange ({!get}, {!put}, {!put_partial}) is one
     lock acquisition, recorded in the owning pool's {!Pstats} together
     with whether the mutex was held by another domain at acquire time
-    (a failed [try_lock]). *)
+    (a failed [try_lock]).  The depot has its own counter cell, written
+    only under the mutex. *)
 
 type 'a t
 
@@ -29,13 +35,17 @@ val create : stats:Pstats.t -> target:int -> max_batches:int -> 'a t
     counted in [stats].
     @raise Invalid_argument if [target < 1] or [max_batches < 0]. *)
 
-val get : 'a t -> 'a list option
-(** [get t] takes one batch (at most [target] items), or [None] when
-    empty. *)
+val get : 'a t -> 'a array
+(** [get t] takes one batch (between [1] and [target] items, bottom to
+    top), or [[||]] when the depot is empty.  The caller owns the
+    array. *)
 
-val put : 'a t -> 'a list -> [ `Kept | `Dropped ]
-(** [put t batch] stores a batch; [`Dropped] when the depot is full
-    (the batch is released to the GC). *)
+val put : 'a t -> 'a array -> [ `Kept | `Dropped ]
+(** [put t batch] stores a batch, taking ownership of the array;
+    [`Dropped] when the depot is full (the batch is released to the
+    GC).
+    @raise Invalid_argument if [batch] is empty or longer than
+    [target]. *)
 
 val put_partial : 'a t -> 'a list -> unit
 (** [put_partial t items] accepts an odd-sized return (magazine drain at
@@ -46,7 +56,8 @@ val batches : 'a t -> int
 (** Current stock (for monitoring; momentarily stale by nature). *)
 
 val drain : 'a t -> 'a list
-(** [drain t] empties the depot (tests, shutdown). *)
+(** [drain t] empties the depot (tests, shutdown), newest batch first,
+    each in {!get}-then-pop order. *)
 
 val check : 'a t -> bool
 (** Invariant oracle for tests, taken under the lock. *)

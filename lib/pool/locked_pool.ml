@@ -4,32 +4,38 @@ type 'a t = {
   mutex : Mutex.t;
   mutable free : 'a list;
   stats : Pstats.t;
+  cell : Pstats.cell;  (* written only under [mutex] *)
 }
 
 let create ~ctor ?reset () =
-  { ctor; reset; mutex = Mutex.create (); free = []; stats = Pstats.create () }
+  let stats = Pstats.create () in
+  {
+    ctor;
+    reset;
+    mutex = Mutex.create ();
+    free = [];
+    stats;
+    cell = Pstats.new_cell stats;
+  }
 
 let alloc t =
-  Pstats.incr_alloc t.stats;
   Mutex.lock t.mutex;
-  let x =
-    match t.free with
-    | x :: rest ->
-        t.free <- rest;
-        Some x
-    | [] -> None
-  in
-  Mutex.unlock t.mutex;
-  match x with
-  | Some x -> x
-  | None ->
-      Pstats.incr_create t.stats;
+  let c = t.cell in
+  c.allocs <- c.allocs + 1;
+  match t.free with
+  | x :: rest ->
+      t.free <- rest;
+      Mutex.unlock t.mutex;
+      x
+  | [] ->
+      c.creates <- c.creates + 1;
+      Mutex.unlock t.mutex;
       t.ctor ()
 
 let release t x =
-  Pstats.incr_free t.stats;
   (match t.reset with Some f -> f x | None -> ());
   Mutex.lock t.mutex;
+  t.cell.frees <- t.cell.frees + 1;
   t.free <- x :: t.free;
   Mutex.unlock t.mutex
 

@@ -1,10 +1,15 @@
+(* A domain's slot: its magazine and its counter cell, behind one DLS
+   key, so an operation does one lookup.  Only the owning domain
+   touches either. *)
+type 'a slot = { mag : 'a Magazine.t; cell : Pstats.cell }
+
 type 'a t = {
   ctor : unit -> 'a;
   reset : ('a -> unit) option;
   target : int;
   depot : 'a Depot.t;
   stats : Pstats.t;
-  key : 'a Magazine.t Domain.DLS.key;
+  key : 'a slot Domain.DLS.key;
 }
 
 let create ~ctor ?reset ?(target = 16) ?(depot_batches = 32) () =
@@ -17,46 +22,50 @@ let create ~ctor ?reset ?(target = 16) ?(depot_batches = 32) () =
     target;
     depot = Depot.create ~stats ~target ~max_batches:depot_batches;
     stats;
-    key = Domain.DLS.new_key (fun () -> Magazine.create ~target);
+    key =
+      Domain.DLS.new_key (fun () ->
+          { mag = Magazine.create ~target; cell = Pstats.new_cell stats });
   }
 
-let magazine t = Domain.DLS.get t.key
-
-let construct t =
-  Pstats.incr_create t.stats;
+let construct t (c : Pstats.cell) =
+  c.creates <- c.creates + 1;
   t.ctor ()
 
-(* A depot batch never exceeds [target]: flushes are exactly [target]
-   long, [put_partial] regroups to [target], and loose items number
-   fewer than [target] — so it installs as is ([Magazine.install]
-   still raises if that ever breaks). *)
+(* The magazine is empty.  A depot batch never exceeds [target]
+   ([Depot.put] refuses longer ones), so it installs as is; an empty
+   array means the depot had nothing. *)
+let alloc_miss t s =
+  let c = s.cell in
+  c.depot_gets <- c.depot_gets + 1;
+  let batch = Depot.get t.depot in
+  if Array.length batch = 0 then construct t c
+  else begin
+    Magazine.install s.mag batch;
+    Magazine.get s.mag
+  end
+
 let alloc t =
-  Pstats.incr_alloc t.stats;
-  let mag = magazine t in
-  match Magazine.get mag with
-  | Some x -> x
-  | None -> (
-      Pstats.incr_depot_get t.stats;
-      match Depot.get t.depot with
-      | Some batch -> (
-          Magazine.install mag batch;
-          match Magazine.get mag with
-          | Some x -> x
-          | None ->
-              (* Depot batches are never empty, but fall back safely. *)
-              construct t)
-      | None -> construct t)
+  let s = Domain.DLS.get t.key in
+  let c = s.cell in
+  c.allocs <- c.allocs + 1;
+  if Magazine.is_empty s.mag then alloc_miss t s else Magazine.get s.mag
+
+let deposit t (c : Pstats.cell) batch =
+  c.depot_puts <- c.depot_puts + 1;
+  match Depot.put t.depot batch with
+  | `Kept -> true
+  | `Dropped ->
+      c.drops <- c.drops + 1;
+      false
 
 let release t x =
   (match t.reset with Some f -> f x | None -> ());
-  Pstats.incr_free t.stats;
-  match Magazine.put (magazine t) x with
+  let s = Domain.DLS.get t.key in
+  let c = s.cell in
+  c.frees <- c.frees + 1;
+  match Magazine.put s.mag x with
   | `Ok -> ()
-  | `Flush batch -> (
-      Pstats.incr_depot_put t.stats;
-      match Depot.put t.depot batch with
-      | `Kept -> ()
-      | `Dropped -> Pstats.incr_drop t.stats)
+  | `Flush batch -> ignore (deposit t c batch)
 
 let with_obj t f =
   let x = alloc t in
@@ -69,33 +78,29 @@ let with_obj t f =
       raise e
 
 let flush_local t =
-  match Magazine.drain (magazine t) with
+  let s = Domain.DLS.get t.key in
+  match Magazine.drain s.mag with
   | [] -> ()
   | items ->
-      Pstats.incr_depot_put t.stats;
+      s.cell.depot_puts <- s.cell.depot_puts + 1;
       Depot.put_partial t.depot items
 
 let refill t ~batches =
   if batches < 0 then invalid_arg "Pool.refill: batches < 0";
+  let c = (Domain.DLS.get t.key).cell in
   (* Stop constructing as soon as the depot reports full: one
      speculative batch at most goes to the GC. *)
   let rec go kept =
     if kept = batches then kept
-    else begin
-      let batch = List.init t.target (fun _ -> t.ctor ()) in
-      Pstats.incr_depot_put t.stats;
-      match Depot.put t.depot batch with
-      | `Kept ->
-          Pstats.incr_prefill t.stats;
-          go (kept + 1)
-      | `Dropped ->
-          Pstats.incr_drop t.stats;
-          kept
+    else if deposit t c (Array.init t.target (fun _ -> t.ctor ())) then begin
+      c.prefills <- c.prefills + 1;
+      go (kept + 1)
     end
+    else kept
   in
   go 0
 
 let stats t = t.stats
 let target t = t.target
 let depot_batches t = Depot.batches t.depot
-let check t = Magazine.check (magazine t) && Depot.check t.depot
+let check t = Magazine.check (Domain.DLS.get t.key).mag && Depot.check t.depot

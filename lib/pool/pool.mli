@@ -24,7 +24,16 @@
     [alloc]/[release] are safe from any domain; each domain transparently
     gets its own magazine.  An object must be released at most once and
     not used after release (not checkable here; the test suite checks it
-    for the pool's own traffic). *)
+    for the pool's own traffic).
+
+    The hit path — an [alloc] or [release] served by the calling
+    domain's magazine — does one [Domain.DLS] lookup (the domain's slot:
+    its magazine and its {!Pstats} cell), no atomic operation and no
+    allocation.  Magazine slots are not cleared as objects leave them,
+    so each domain's magazine may keep up to [2 * target] stale
+    references alive until they are overwritten: an object handed out,
+    dropped to the GC or drained by {!flush_local} can outlive its last
+    use by that much. *)
 
 type 'a t
 

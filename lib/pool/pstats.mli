@@ -1,31 +1,50 @@
 (** Counters for the native pool, after the paper's measurement
     discipline: statistics live with the layer that produces them, per
-    CPU, and are summed only when somebody asks.  Each domain mutates
-    its own atomic cell (no shared-line ping-pong on the hot path); the
-    read accessors aggregate over all cells and are safe to call from
-    any domain while workers race.  Individual counters are exact and
-    monotone; a snapshot taken mid-run is internally skewed by whatever
-    landed between field reads, the same caveat the paper accepts for
-    its own per-CPU counters. *)
+    CPU, and are summed only when somebody asks.
+
+    Counts live in {!cell}s of plain mutable ints.  Each cell has a
+    single writer at a time: a pool's per-domain slot (only its own
+    domain writes it), or a structure's lock holder ({!Depot},
+    {!Locked_pool}).  An increment is therefore a load and a store — no
+    atomic read-modify-write and no cache line shared with another
+    domain on the hot path.  The read accessors fold over every cell
+    registered with a {!t}, and may run on any domain while writers
+    race:
+    - a racing read of a counter returns a value its writer stored,
+      because an immediate [int] cannot tear, so it is a valid count;
+    - successive reads of a counter from one domain never go backwards
+      (per-location coherence; cells are only ever added, starting at
+      zero);
+    - totals are exact once the writers are joined or otherwise
+      synchronised with the reader (e.g. through a mutex or
+      [Domain.join]).
+
+    A snapshot taken mid-run is internally skewed by whatever landed
+    between field reads, the same caveat the paper accepts for its own
+    per-CPU counters. *)
 
 type t
 
+type cell = {
+  mutable allocs : int;
+  mutable frees : int;
+  mutable creates : int;  (** constructor calls *)
+  mutable depot_gets : int;  (** allocations that went past the magazine *)
+  mutable depot_puts : int;  (** batches handed to the depot *)
+  mutable drops : int;  (** batches released to the GC on depot overflow *)
+  mutable depot_acquires : int;  (** data-path depot-lock acquisitions *)
+  mutable depot_contended : int;  (** the subset that found the lock held *)
+  mutable prefills : int;  (** batches deposited by {!Pool.refill} *)
+}
+(** One writer's counters.  Write them only from the cell's owner (or
+    under the lock that serialises its writers). *)
+
 val create : unit -> t
 
-val incr_alloc : t -> unit
-val incr_free : t -> unit
-val incr_create : t -> unit
-val incr_depot_get : t -> unit
-val incr_depot_put : t -> unit
-val incr_drop : t -> unit
-
-val note_depot_acquire : t -> contended:bool -> unit
-(** Record one depot-lock acquisition on the data path ({!Depot.get},
-    {!Depot.put} and {!Depot.put_partial} call it); [contended] means
-    the lock was observed held by another domain at acquire time. *)
-
-val incr_prefill : t -> unit
-(** Batches constructed and deposited by a dedicated refill domain. *)
+val new_cell : t -> cell
+(** [new_cell t] registers a fresh zeroed cell with [t] and returns it.
+    Registration is lock-free and safe from any domain; call it once per
+    owner, not per operation. *)
 
 val allocs : t -> int
 val frees : t -> int

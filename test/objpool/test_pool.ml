@@ -149,35 +149,95 @@ let test_depot_overflow_bounded () =
   Alcotest.(check bool) "pool still serves" true (o.id >= 0);
   Pool.release p o
 
-(* Pstats is safe to read while writers race. *)
+(* Pstats is safe to read while writers race: two domains run real
+   pool traffic (magazine hits, depot exchanges, flush_local) while this
+   domain reads. *)
 let test_pstats_racing_readers () =
-  let s = Pstats.create () in
+  let p = make_pool ~target:4 ~depot_batches:4 () in
+  let s = Pool.stats p in
   let per_domain = 50_000 in
   let writer () =
-    for _ = 1 to per_domain do
-      Pstats.incr_alloc s;
-      Pstats.incr_free s;
-      Pstats.note_depot_acquire s ~contended:false
-    done
+    for i = 1 to per_domain do
+      let a = Pool.alloc p in
+      let b = Pool.alloc p in
+      Pool.release p a;
+      Pool.release p b;
+      if i mod 1000 = 0 then Pool.flush_local p
+    done;
+    Pool.flush_local p
   in
   let ds = List.init 2 (fun _ -> Domain.spawn writer) in
+  let total = 2 * 2 * per_domain in
   (* Race reads against the writers: every read must be a valid count,
      and each counter must be monotone across successive reads. *)
-  let last = ref 0 in
+  let last = ref (Pstats.read s) in
   for _ = 1 to 2_000 do
     let snap = Pstats.read s in
-    let a = snap.Pstats.s_allocs in
-    if a < !last then Alcotest.failf "allocs went backwards: %d < %d" a !last;
-    last := a;
-    if snap.Pstats.s_frees < 0 then Alcotest.fail "negative frees"
+    let field name f =
+      let v = f snap and prev = f !last in
+      if v < 0 || v > total then Alcotest.failf "%s out of range: %d" name v;
+      if v < prev then Alcotest.failf "%s went backwards: %d < %d" name v prev
+    in
+    field "allocs" (fun r -> r.Pstats.s_allocs);
+    field "frees" (fun r -> r.Pstats.s_frees);
+    field "depot_acquires" (fun r -> r.Pstats.s_depot_acquires);
+    last := snap
   done;
   List.iter Domain.join ds;
   let snap = Pstats.read s in
-  Alcotest.(check int) "exact allocs" (2 * per_domain) snap.Pstats.s_allocs;
-  Alcotest.(check int) "exact frees" (2 * per_domain) snap.Pstats.s_frees;
+  Alcotest.(check int) "exact allocs" total snap.Pstats.s_allocs;
+  Alcotest.(check int) "exact frees" total snap.Pstats.s_frees;
   Alcotest.(check int)
-    "exact acquires" (2 * per_domain) snap.Pstats.s_depot_acquires;
-  Alcotest.(check int) "no contention recorded" 0 snap.Pstats.s_depot_contended
+    "exact acquires: one per depot get or put"
+    (snap.Pstats.s_depot_gets + snap.Pstats.s_depot_puts)
+    snap.Pstats.s_depot_acquires;
+  Alcotest.(check bool) "contended within acquires" true
+    (snap.Pstats.s_depot_contended <= snap.Pstats.s_depot_acquires)
+
+(* After warm-up, a hit-path alloc/release pair allocates nothing: the
+   magazine is an array stack and the counters are plain ints. *)
+let test_hit_path_allocation_free () =
+  let p = Pool.create ~ctor:(fun () -> Bytes.create 64) () in
+  for _ = 1 to 100 do
+    Pool.release p (Pool.alloc p)
+  done;
+  let before = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    Pool.release p (Pool.alloc p)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words" 0. words;
+  Alcotest.(check int) "one construction" 1 (Pstats.creates (Pool.stats p))
+
+(* An empty magazine over an empty depot falls back to the
+   constructor: [Depot.get]'s empty array is never popped. *)
+let test_empty_depot_constructs () =
+  let p = make_pool ~target:4 ~depot_batches:4 () in
+  let a = Pool.alloc p in
+  let s = Pstats.read (Pool.stats p) in
+  Alcotest.(check int) "went to the depot" 1 s.Pstats.s_depot_gets;
+  Alcotest.(check int) "then the constructor" 1 s.Pstats.s_creates;
+  Alcotest.(check int) "fresh object" 0 a.id;
+  Pool.release p a;
+  Alcotest.(check bool) "invariants hold" true (Pool.check p)
+
+(* A pool of floats keeps its values: magazine arrays made from a
+   float element are flat float arrays, read and written as such. *)
+let test_float_pool () =
+  let next = ref 0. in
+  let p =
+    Pool.create
+      ~ctor:(fun () ->
+        next := !next +. 1.5;
+        !next)
+      ~target:2 ~depot_batches:4 ()
+  in
+  let xs = List.init 9 (fun _ -> Pool.alloc p) in
+  List.iter (Pool.release p) xs;
+  let ys = List.init 9 (fun _ -> Pool.alloc p) in
+  Alcotest.(check (list (float 0.)))
+    "same values back" (List.sort compare xs) (List.sort compare ys);
+  Alcotest.(check bool) "invariants hold" true (Pool.check p)
 
 (* flush_local makes a domain's stock reachable from the domain that
    outlives it. *)
@@ -292,5 +352,10 @@ let suite =
     Alcotest.test_case "reset raising abandons" `Quick test_reset_raising;
     Alcotest.test_case "target:1" `Quick test_target_one;
     Alcotest.test_case "refill" `Quick test_refill;
+    Alcotest.test_case "hit path allocates nothing" `Quick
+      test_hit_path_allocation_free;
+    Alcotest.test_case "empty depot falls back to ctor" `Quick
+      test_empty_depot_constructs;
+    Alcotest.test_case "float pool round-trips" `Quick test_float_pool;
     QCheck_alcotest.to_alcotest prop_single_domain_traffic;
   ]
