@@ -1098,11 +1098,8 @@ let service_cmd =
     Experiments.Series.heading "Service shapes (lib/scenario request graphs)";
     Experiments.Series.table
       ~header:[ "name"; "served as" ]
-      (List.filter_map
-         (fun (s : Scenario.t) ->
-           match Service.shape_of_scenario s.Scenario.name with
-           | None -> None
-           | Some _ -> Some [ s.Scenario.name; s.Scenario.summary ])
+      (List.map
+         (fun (s : Scenario.t) -> [ s.Scenario.name; s.Scenario.summary ])
          Scenario.all)
   in
   let run name domains requests seed refill target depot_batches arrival
@@ -1110,7 +1107,7 @@ let service_cmd =
     match name with
     | None | Some "list" -> list_shapes ()
     | Some n -> (
-        match Service.shape_of_scenario n with
+        match Scenario.find n with
         | None ->
             Printf.eprintf "unknown scenario %S (try: %s)\n" n
               (String.concat ", " (Scenario.names ()));
@@ -1422,111 +1419,50 @@ let bench_roads_not_taken c =
   Printf.printf "lazy buddy completes the worst-case sweep: %b\n"
     (Experiments.Fig9.completed sweep)
 
-(* --- Native pool: Bechamel microbenchmarks --- *)
-
-let bench_bechamel _ =
-  Experiments.Series.heading
-    "Native OCaml 5 pool (Bechamel, ns/op, single domain)";
-  let open Bechamel in
-  let pooled =
-    Objpool.Pool.create ~ctor:(fun () -> Bytes.create 4096) ~target:16 ()
-  in
-  let locked =
-    Objpool.Locked_pool.create ~ctor:(fun () -> Bytes.create 4096) ()
-  in
-  (* Warm both so steady state is measured. *)
-  Objpool.Pool.release pooled (Objpool.Pool.alloc pooled);
-  Objpool.Locked_pool.release locked (Objpool.Locked_pool.alloc locked);
-  let tests =
-    Test.make_grouped ~name:"pool"
-      [
-        Test.make ~name:"per-domain magazine pair"
-          (Staged.stage (fun () ->
-               let b = Objpool.Pool.alloc pooled in
-               Objpool.Pool.release pooled b));
-        Test.make ~name:"global locked pool pair"
-          (Staged.stage (fun () ->
-               let b = Objpool.Locked_pool.alloc locked in
-               Objpool.Locked_pool.release locked b));
-        Test.make ~name:"fresh Bytes.create 4096"
-          (Staged.stage (fun () ->
-               ignore (Sys.opaque_identity (Bytes.create 4096))));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name o acc ->
-        let est =
-          match Analyze.OLS.estimates o with
-          | Some [ e ] -> Printf.sprintf "%.1f" e
-          | Some _ | None -> "-"
-        in
-        let r2 =
-          match Analyze.OLS.r_square o with
-          | Some r -> Printf.sprintf "%.4f" r
-          | None -> "-"
-        in
-        [ name; est; r2 ] :: acc)
-      results []
-  in
-  Experiments.Series.table
-    ~header:[ "benchmark"; "ns/op"; "r^2" ]
-    (List.sort compare rows)
-
-(* --- Native pool: domain scaling (informational on 1-core hosts) --- *)
+(* --- E7: native pool vs a single-mutex pool, alone and contended
+   (informational on 1-core hosts) --- *)
 
 let bench_pool_domains _ =
   Experiments.Series.heading
-    "Native pool vs locked pool under domain contention";
+    "Native pool vs locked pool, one domain and under domain contention";
   let ndomains = max 2 (min 4 (Domain.recommended_domain_count ())) in
-  let ops = 100_000 in
-  let run_pooled () =
+  let ops = 1_000_000 in
+  (* Host seconds for [n] domains, this one included, each running
+     [worker] once. *)
+  let timed n worker =
+    let t0 = now_s () in
+    let ds = List.init (n - 1) (fun _ -> Domain.spawn worker) in
+    worker ();
+    List.iter Domain.join ds;
+    now_s () -. t0
+  in
+  let pooled n =
     let p =
       Objpool.Pool.create ~ctor:(fun () -> Bytes.create 512) ~target:32 ()
     in
-    let worker () =
-      for _ = 1 to ops do
-        let b = Objpool.Pool.alloc p in
-        Objpool.Pool.release p b
-      done;
-      Objpool.Pool.flush_local p
-    in
-    let t0 = now_s () in
-    let ds = List.init (ndomains - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join ds;
-    now_s () -. t0
+    timed n (fun () ->
+        for _ = 1 to ops do
+          Objpool.Pool.release p (Objpool.Pool.alloc p)
+        done;
+        Objpool.Pool.flush_local p)
   in
-  let run_locked () =
+  let locked n =
     let p = Objpool.Locked_pool.create ~ctor:(fun () -> Bytes.create 512) () in
-    let worker () =
-      for _ = 1 to ops do
-        let b = Objpool.Locked_pool.alloc p in
-        Objpool.Locked_pool.release p b
-      done
-    in
-    let t0 = now_s () in
-    let ds = List.init (ndomains - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join ds;
-    now_s () -. t0
+    timed n (fun () ->
+        for _ = 1 to ops do
+          Objpool.Locked_pool.release p (Objpool.Locked_pool.alloc p)
+        done)
   in
-  let tp = run_pooled () and tl = run_locked () in
-  let rate t = float_of_int (ndomains * ops) /. t /. 1e6 in
+  let row name time n =
+    let rate = float_of_int (n * ops) /. time n /. 1e6 in
+    [ name; string_of_int n; Experiments.Series.f1 rate ]
+  in
   Experiments.Series.table
     ~header:[ "pool"; "domains"; "M ops/s" ]
-    [
-      [ "per-domain magazines"; string_of_int ndomains;
-        Experiments.Series.f1 (rate tp) ];
-      [ "single mutex"; string_of_int ndomains;
-        Experiments.Series.f1 (rate tl) ];
-    ];
+    (List.concat_map
+       (fun n ->
+         [ row "per-domain magazines" pooled n; row "single mutex" locked n ])
+       [ 1; ndomains ]);
   if Domain.recommended_domain_count () < 2 then
     print_endline
       "note: this host has one core, so contention effects are muted (the \
@@ -1534,21 +1470,10 @@ let bench_pool_domains _ =
 
 (* --- Scenario library: trace replays + pathology highlights --- *)
 
-(* Host wall time per scenario replay, recorded into BENCH_host.json's
-   "scenarios" array (never printed in the table: the table is
-   simulated data and must stay bit-identical across runs). *)
-let scenario_times : (string * float) list ref = ref []
-
 let bench_scenarios c =
   Experiments.Series.heading
     "Scenario library (trace replays on the new allocator)";
-  let rows = Experiments.Scenarios.run ~jobs:c.jobs ~now:now_s () in
-  Experiments.Scenarios.print rows;
-  scenario_times :=
-    List.map
-      (fun (r : Experiments.Scenarios.row) ->
-        (r.Experiments.Scenarios.name, r.Experiments.Scenarios.wall_s))
-      rows;
+  Experiments.Scenarios.print (Experiments.Scenarios.run ~jobs:c.jobs ());
   (* Pathology analysis replays under the one installed flight
      recorder, so it runs serially; it is the bench-level proof that
      each scenario's target detector fires. *)
@@ -1557,20 +1482,15 @@ let bench_scenarios c =
 
 (* --- E15: serving traffic through the pool (lib/service) --- *)
 
-(* Outcomes recorded into BENCH_host.json's "service" array: unlike the
-   simulated tables, everything here is real hardware timing. *)
-let service_outcomes : (string * Service.outcome) list ref = ref []
-
+(* Unlike the simulated tables, everything here is real hardware
+   timing. *)
 let bench_service _ =
   Experiments.Series.heading "Serving traffic through the native pool (E15)";
   let serve ?(refill = false) scenario ~domains ~requests =
     let cfg =
       { (Service.default ~scenario) with Service.domains; requests; refill }
     in
-    let o = Service.run cfg in
-    let label = if refill then scenario ^ "+refill" else scenario in
-    service_outcomes := !service_outcomes @ [ (label, o) ];
-    print_string (Service.to_string o);
+    print_string (Service.to_string (Service.run cfg));
     print_newline ()
   in
   (* A steady closed loop, plus the SpeedMalloc dedicated-refill-domain
@@ -1581,177 +1501,48 @@ let bench_service _ =
      on a different domain than its alloc. *)
   serve "producer_consumer" ~domains:4 ~requests:150_000
 
-(* Every section in run order, whether its sweep fans out over the job
-   pool (the only ones --compare-jobs1 re-times: analysis and missrates
-   each drive a single machine; the native sections are host
-   microbenchmarks), and its body. *)
+(* Every section in run order, with its body. *)
 let sections =
   [
-    ("analysis", false, fun c -> run_analysis 150 c.lockcheck);
-    ("opcounts", true, fun c -> run_opcounts c.jobs);
-    ("fig7", true, bench_fig7);
-    ("fig9", true, bench_fig9);
-    ("missrates", false, bench_missrates);
+    ("analysis", fun c -> run_analysis 150 c.lockcheck);
+    ("opcounts", fun c -> run_opcounts c.jobs);
+    ("fig7", bench_fig7);
+    ("fig9", bench_fig9);
+    ("missrates", bench_missrates);
     (* ncpus, iters, depth, bytes *)
-    ("geometry", true, fun c -> run_geometry () 8 50 96 256 c.jobs);
-    ("ablation-target", true, bench_ablation_target);
-    ("ablation-pagepolicy", true, bench_ablation_page_policy);
-    ( "crosscpu",
-      true,
-      fun c -> run_crosscpu Baseline.Allocator.all 2 2000 c.jobs );
+    ("geometry", fun c -> run_geometry () 8 50 96 256 c.jobs);
+    ("ablation-target", bench_ablation_target);
+    ("ablation-pagepolicy", bench_ablation_page_policy);
+    ("crosscpu", fun c -> run_crosscpu Baseline.Allocator.all 2 2000 c.jobs);
     (* cpus, iters, bytes, pairs, blocks per pair *)
     ( "lockfree",
-      true,
       fun c ->
         run_lockfree () c.allocs [ 1; 2; 4; 8; 16; 26 ] 400 256 [ 1; 2; 4; 8 ]
           300 c.jobs );
     (* cpus, nodes, iters, depth, bytes *)
     ( "numa",
-      true,
       fun c ->
         run_numa () Experiments.Numa.default_whichs [ 32; 64; 128 ] [ 1; 4 ] 8
           64 256 c.jobs );
-    ("scenarios", true, bench_scenarios);
-    ("roads-not-taken", true, bench_roads_not_taken);
-    ("bechamel", false, bench_bechamel);
-    ("pool-domains", false, bench_pool_domains);
-    ("service", false, bench_service);
-    ("pressure", true, bench_pressure);
-    ("fuzz", true, bench_fuzz);
+    ("scenarios", bench_scenarios);
+    ("roads-not-taken", bench_roads_not_taken);
+    ("pool-domains", bench_pool_domains);
+    ("service", bench_service);
+    ("pressure", bench_pressure);
+    ("fuzz", bench_fuzz);
   ]
-
-(* Run [f] with stdout sent to /dev/null: --compare-jobs1 re-runs
-   sections purely for their host time, and their (identical) output
-   must not appear twice. *)
-let silenced f =
-  flush stdout;
-  let saved = Unix.dup Unix.stdout in
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
-  Unix.dup2 devnull Unix.stdout;
-  Unix.close devnull;
-  Fun.protect
-    ~finally:(fun () ->
-      flush stdout;
-      Unix.dup2 saved Unix.stdout;
-      Unix.close saved)
-    f
-
-type record = {
-  rname : string;
-  seconds : float;
-  rjobs : int;
-  seconds_jobs1 : float option;
-}
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let write_host_json path ~jobs records =
-  let oc = open_out path in
-  let total = List.fold_left (fun a r -> a +. r.seconds) 0. records in
-  Printf.fprintf oc
-    "{\n\
-    \  \"host_cores\": %d,\n\
-    \  \"recommended_domains\": %d,\n\
-    \  \"jobs\": %d,\n\
-    \  \"geometry\": \"%s\",\n"
-    (Parallel.host_cores ())
-    (Domain.recommended_domain_count ())
-    jobs
-    (json_escape (Sim.Geometry.to_string (Sim.Geometry.ambient ())));
-  Printf.fprintf oc "  \"total_seconds\": %.3f,\n  \"sections\": [\n" total;
-  List.iteri
-    (fun i r ->
-      let speedup =
-        match r.seconds_jobs1 with
-        | Some t1 when r.seconds > 0. -> Printf.sprintf "%.2f" (t1 /. r.seconds)
-        | _ -> "null"
-      in
-      Printf.fprintf oc
-        "    {\"name\": \"%s\", \"seconds\": %.3f, \"jobs\": %d, \
-         \"seconds_jobs1\": %s, \"speedup_vs_jobs1\": %s}%s\n"
-        (json_escape r.rname) r.seconds r.rjobs
-        (match r.seconds_jobs1 with
-        | Some t1 -> Printf.sprintf "%.3f" t1
-        | None -> "null")
-        speedup
-        (if i = List.length records - 1 then "" else ","))
-    records;
-  Printf.fprintf oc "  ],\n  \"scenarios\": [\n";
-  let sts = !scenario_times in
-  List.iteri
-    (fun i (name, seconds) ->
-      Printf.fprintf oc "    {\"name\": \"%s\", \"seconds\": %.3f}%s\n"
-        (json_escape name) seconds
-        (if i = List.length sts - 1 then "" else ","))
-    sts;
-  Printf.fprintf oc "  ],\n  \"service\": [\n";
-  let svc = !service_outcomes in
-  List.iteri
-    (fun i (label, (o : Service.outcome)) ->
-      let s = o.Service.o_stats in
-      Printf.fprintf oc
-        "    {\"name\": \"%s\", \"domains\": %d, \"requests\": %d, \
-         \"ops\": %d, \"seconds\": %.3f, \"ops_per_sec\": %.0f, \
-         \"p50_ns\": %.0f, \"p99_ns\": %.0f, \"p999_ns\": %.0f, \
-         \"creates\": %d, \"depot_acquires\": %d, \"contended\": %d, \
-         \"contention_rate\": %.6f, \"drops\": %d, \"prefills\": %d}%s\n"
-        (json_escape label) o.Service.o_domains o.Service.o_requests
-        o.Service.o_ops o.Service.o_wall_s o.Service.o_ops_per_sec
-        o.Service.o_p50 o.Service.o_p99 o.Service.o_p999
-        s.Service.Pstats.s_creates s.Service.Pstats.s_depot_acquires
-        s.Service.Pstats.s_depot_contended
-        (if Float.is_nan o.Service.o_contention then 0.
-         else o.Service.o_contention)
-        s.Service.Pstats.s_drops s.Service.Pstats.s_prefills
-        (if i = List.length svc - 1 then "" else ","))
-    svc;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc
 
 let bench_cmd =
   let requested =
     Arg.(
       value
-      & pos_all
-          (enum (List.map (fun ((name, _, _) as s) -> (name, s)) sections))
+      & pos_all (enum (List.map (fun ((name, _) as s) -> (name, s)) sections))
           []
       & info [] ~docv:"SECTION"
           ~doc:"Sections to run, in order (default: all of them).")
   in
-  let host_json =
-    Arg.(
-      value
-      & opt string "BENCH_host.json"
-      & info [ "host-json" ] ~docv:"PATH"
-          ~doc:"Write per-section host timings to $(docv).")
-  in
-  let no_host_json =
-    Arg.(
-      value & flag
-      & info [ "no-host-json" ] ~doc:"Write no host-timing file.")
-  in
-  let compare_jobs1 =
-    Arg.(
-      value & flag
-      & info [ "compare-jobs1" ]
-          ~doc:
-            "Re-run each parallel section at --jobs 1 (output discarded) \
-             and record the speedup in the host-timing file.")
-  in
   let allocs = allocs_flag ~default:Experiments.Lockfree_arms.default_whichs in
-  let run () requested jobs allocs lockcheck heapcheck flightrec host_json
-      no_host_json compare_jobs1 =
+  let run () requested jobs allocs lockcheck heapcheck flightrec =
     let c =
       {
         jobs = effective_jobs ~flightrec ~lockcheck jobs;
@@ -1761,26 +1552,12 @@ let bench_cmd =
         allocs;
       }
     in
-    let records =
-      List.map
-        (fun (name, parallel, f) ->
-          let rjobs = if parallel then c.jobs else 1 in
-          let t0 = now_s () in
-          f c;
-          let seconds = now_s () -. t0 in
-          Printf.printf "(section took %.1fs of host time)\n" seconds;
-          let seconds_jobs1 =
-            if compare_jobs1 && rjobs > 1 then begin
-              let t1 = now_s () in
-              silenced (fun () -> f { c with jobs = 1 });
-              Some (now_s () -. t1)
-            end
-            else None
-          in
-          { rname = name; seconds; rjobs; seconds_jobs1 })
-        (match requested with [] -> sections | l -> l)
-    in
-    if not no_host_json then write_host_json host_json ~jobs records;
+    List.iter
+      (fun (_, f) ->
+        let t0 = now_s () in
+        f c;
+        Printf.printf "(section took %.1fs of host time)\n" (now_s () -. t0))
+      (match requested with [] -> sections | l -> l);
     print_newline ();
     print_endline "bench: all requested sections completed"
   in
@@ -1789,14 +1566,12 @@ let bench_cmd =
        ~doc:
          "The full harness: every table and figure at a scale that \
           completes in a few minutes, the ablations, and the native-pool \
-          sections, with per-section host timings written to \
-          $(b,BENCH_host.json).  $(b,--allocs) selects the lockfree \
-          section's arms; the checker flags apply to analysis \
+          sections, each followed by its host time.  $(b,--allocs) selects \
+          the lockfree section's arms; the checker flags apply to analysis \
           ($(b,--lockcheck)), missrates and pressure.")
     Term.(
       const run $ geometry_flag $ requested $ jobs_flag $ allocs
-      $ lockcheck_flag $ heapcheck_flag $ flightrec_flag $ host_json
-      $ no_host_json $ compare_jobs1)
+      $ lockcheck_flag $ heapcheck_flag $ flightrec_flag)
 
 let default =
   Term.(

@@ -4,11 +4,9 @@ type row = {
   events : int;
   result : Workload.Trace.result;
   ops_per_sec : float;
-  wall_s : float;
 }
 
-let run_one ~now (sc : Scenario.t) =
-  let t0 = now () in
+let run_one (sc : Scenario.t) =
   let t = sc.Scenario.generate ~seed:sc.Scenario.default_seed in
   let ncpus = max 1 (Workload.Trace.ncpus t) in
   let m = Sim.Machine.create (Workload.Rig.paper_config ~ncpus ()) in
@@ -25,11 +23,9 @@ let run_one ~now (sc : Scenario.t) =
        else
          float_of_int r.Workload.Trace.ops
          /. Sim.Config.seconds_of_cycles cfg r.Workload.Trace.cycles);
-    wall_s = now () -. t0;
   }
 
-let run ?(jobs = 1) ?(now = fun () -> 0.) () =
-  Parallel.map ~jobs (run_one ~now) Scenario.all
+let run ?(jobs = 1) () = Parallel.map ~jobs run_one Scenario.all
 
 let print rows =
   Series.table

@@ -4,9 +4,8 @@
 
     Replays are independent cells and fan out over {!Parallel.map};
     everything printed is simulated-machine data, so the output is
-    bit-identical at any job count.  Host wall time per scenario is
-    returned separately (via the caller's clock) for BENCH_host.json,
-    never printed in the table. *)
+    bit-identical at any job count.  Host time is the bench driver's
+    per-section line, never a table column. *)
 
 type row = {
   name : string;
@@ -14,13 +13,10 @@ type row = {
   events : int;
   result : Workload.Trace.result;
   ops_per_sec : float;  (** simulated ops per simulated second *)
-  wall_s : float;  (** host seconds, 0 when no clock was given *)
 }
 
-val run : ?jobs:int -> ?now:(unit -> float) -> unit -> row list
-(** [run ()] replays {!Scenario.all} (default seeds), [jobs]-wide.
-    [now] is the caller's monotonic clock (host seconds); omitted, all
-    [wall_s] are 0. *)
+val run : ?jobs:int -> unit -> row list
+(** [run ()] replays {!Scenario.all} (default seeds), [jobs]-wide. *)
 
 val print : row list -> unit
 (** Deterministic table of the simulated columns. *)

@@ -14,8 +14,8 @@
     [skew_frees]).
 
     Drivers: [kma_bench scenario] replays one scenario (optionally
-    scaled) and prints the {!Pathology} report; [bench/main] replays
-    the whole library into [BENCH_host.json]. *)
+    scaled) and prints the {!Pathology} report; [kma_bench bench
+    scenarios] replays the whole library and tabulates it. *)
 
 module Pathology = Pathology
 

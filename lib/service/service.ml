@@ -17,20 +17,20 @@ type shape =
   | Frag_adversary
   | Recorded_dlm
 
-let shape_of_name = function
-  | "steady" -> Some Steady
-  | "rpc" -> Some Rpc
-  | "bursty" -> Some Bursty
-  | "long_tail" -> Some Long_tail
-  | "producer_consumer" -> Some Producer_consumer
-  | "frag_adversary" -> Some Frag_adversary
-  | "recorded_dlm" -> Some Recorded_dlm
-  | _ -> None
-
+(* [None] for a name outside {!Scenario.all}, and for a scenario added
+   there without a request graph here. *)
 let shape_of_scenario name =
-  match Scenario.find name with
-  | None -> None
-  | Some _ -> shape_of_name name
+  if Option.is_none (Scenario.find name) then None
+  else
+    match name with
+    | "steady" -> Some Steady
+    | "rpc" -> Some Rpc
+    | "bursty" -> Some Bursty
+    | "long_tail" -> Some Long_tail
+    | "producer_consumer" -> Some Producer_consumer
+    | "frag_adversary" -> Some Frag_adversary
+    | "recorded_dlm" -> Some Recorded_dlm
+    | _ -> None
 
 type arrival = [ `Closed | `Open_ns of int ]
 
@@ -190,6 +190,10 @@ let validate cfg =
   if cfg.requests < 0 then invalid_arg "Service.run: requests < 0";
   if cfg.target < 1 then invalid_arg "Service.run: target < 1";
   if cfg.depot_batches < 0 then invalid_arg "Service.run: depot_batches < 0";
+  (* The refill domain stocks up to [depot_batches]: with a bound of 0
+     each pass would return at once and spin against the workers. *)
+  if cfg.refill && cfg.depot_batches < 1 then
+    invalid_arg "Service.run: refill needs depot_batches >= 1";
   if cfg.obj_bytes < 1 then invalid_arg "Service.run: obj_bytes < 1";
   (match cfg.arrival with
   | `Open_ns m when m < 1 -> invalid_arg "Service.run: open arrival mean < 1 ns"

@@ -28,19 +28,6 @@ module Hist = Hist
 module Pool = Objpool.Pool
 module Pstats = Objpool.Pstats
 
-type shape =
-  | Steady
-  | Rpc
-  | Bursty
-  | Long_tail
-  | Producer_consumer
-  | Frag_adversary
-  | Recorded_dlm
-
-val shape_of_scenario : string -> shape option
-(** The request graph for a [lib/scenario] name; [None] when the name
-    is not in {!Scenario.all}. *)
-
 type arrival = [ `Closed | `Open_ns of int ]
 (** [`Open_ns mean]: seeded uniform inter-arrival in [[0, 2*mean]]. *)
 
@@ -49,7 +36,8 @@ type config = {
   domains : int;  (** worker domains, >= 1 *)
   requests : int;  (** per domain *)
   seed : int;
-  refill : bool;  (** dedicated depot-refill domain *)
+  refill : bool;
+      (** dedicated depot-refill domain; needs [depot_batches >= 1] *)
   target : int;
   depot_batches : int;
   arrival : arrival;

@@ -8,8 +8,7 @@
 
    The pinned constants below are the default-geometry regression
    anchor: if any simulator or allocator change moves them, the
-   recorded results in EXPERIMENTS.md and BENCH_host.json no longer
-   describe the code.  Deliberate cost-model changes must update the
+   recorded results in EXPERIMENTS.md no longer describe the code.  Deliberate cost-model changes must update the
    pins (and the recorded results) explicitly. *)
 
 let both f =

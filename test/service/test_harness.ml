@@ -2,13 +2,9 @@ open Service
 
 (* The harness's accounting invariants hold for every request shape:
    each run serves exactly the configured requests and returns every
-   pooled object it took (allocs = frees after the final drains). *)
-
-let shapes =
-  [
-    "steady"; "rpc"; "bursty"; "long_tail"; "producer_consumer";
-    "frag_adversary"; "recorded_dlm";
-  ]
+   pooled object it took (allocs = frees after the final drains).  The
+   shapes are the library's scenarios, so a scenario added without a
+   request graph fails here. *)
 
 let small ?(domains = 2) ?(requests = 1_500) scenario =
   { (Service.default ~scenario) with Service.domains; requests }
@@ -37,10 +33,20 @@ let test_all_shapes () =
         (List.fold_left
            (fun a d -> a + d.Service.d_requests)
            0 o.Service.o_per_domain))
-    shapes
+    (Scenario.names ())
 
 let test_unknown_scenario () =
   match Service.run (small "no_such_shape") with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
+
+let test_refill_without_depot () =
+  (* A refill domain stocking a 0-batch depot would never block, so it
+     would spin against the workers for the whole run. *)
+  match
+    Service.run
+      { (small "steady") with Service.refill = true; depot_batches = 0 }
+  with
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
@@ -92,6 +98,8 @@ let suite =
     Alcotest.test_case "all shapes balance" `Quick test_all_shapes;
     Alcotest.test_case "unknown scenario rejected" `Quick
       test_unknown_scenario;
+    Alcotest.test_case "refill without depot rejected" `Quick
+      test_refill_without_depot;
     Alcotest.test_case "single domain" `Quick test_single_domain;
     Alcotest.test_case "alloc count deterministic" `Quick
       test_alloc_count_deterministic;
