@@ -477,7 +477,7 @@ let pressure_cmd =
     (Cmd.info "pressure"
        ~doc:
          "Memory pressure: throughput and pages held vs VM grant-denial \
-          rate, cookie/newkma (reap + adaptive targets) vs mk (E8); \
+          rate, cookie/newkma (reap-and-retry, static targets) vs mk (E8); \
           $(b,--lockcheck) validates the synchronization discipline; \
           $(b,--heapcheck) verifies heap consistency after each cell.")
     Term.(
@@ -502,7 +502,7 @@ let fuzz_cmd =
     Arg.(
       value & flag
       & info [ "pressure" ]
-          ~doc:"Enable the memory-pressure subsystem (adaptive targets).")
+          ~doc:"Enable the memory-pressure subsystem (reap-and-retry).")
   in
   let debug =
     Arg.(
@@ -1159,6 +1159,10 @@ type bench_ctx = {
   allocs : Baseline.Allocator.which list;
 }
 
+(* A section's acceptance line, once printed, decides its exit status:
+   a false self-check exits 3, like a failed checker. *)
+let exit_unless ok = if not ok then exit 3
+
 (* --- E3/E4: Figures 7 and 8 --- *)
 
 let bench_fig7 c =
@@ -1204,34 +1208,39 @@ let bench_fig9 c =
     | _ -> assert false
   in
   Experiments.Fig9.print results;
-  Printf.printf "sweep completed without wedging: %b\n"
-    (Experiments.Fig9.completed results);
+  let completed = Experiments.Fig9.completed results in
+  Printf.printf "sweep completed without wedging: %b\n" completed;
   (* The paper's side claim: an allocator without coalescing cannot
      complete this benchmark. *)
   let wedged = List.filter (fun r -> r.Workload.Worstcase.blocks <= 10) mk in
   Printf.printf
     "mk (no coalescing) wedged on %d of %d sizes, as the paper predicts\n"
-    (List.length wedged) (List.length mk)
+    (List.length wedged) (List.length mk);
+  exit_unless completed
 
 (* --- E6: DLM miss rates --- *)
 
 let bench_missrates c =
-  with_checkers ~heapcheck:c.heapcheck ~lockcheck:c.lockcheck
-    ~flightrec:c.flightrec ~ncpus:4 (fun () ->
-      let r = Experiments.Missrates.run ~transactions_per_cpu:2000 () in
-      Experiments.Missrates.print r;
-      Printf.printf "all rates within analytic bounds: %b\n"
-        (Experiments.Missrates.within_bounds r))
+  exit_unless
+    (with_checkers ~heapcheck:c.heapcheck ~lockcheck:c.lockcheck
+       ~flightrec:c.flightrec ~ncpus:4 (fun () ->
+         let r = Experiments.Missrates.run ~transactions_per_cpu:2000 () in
+         Experiments.Missrates.print r;
+         let ok = Experiments.Missrates.within_bounds r in
+         Printf.printf "all rates within analytic bounds: %b\n" ok;
+         ok))
 
 (* --- E8: memory pressure --- *)
 
 let bench_pressure c =
-  with_checkers ~heapcheck:c.heapcheck ~lockcheck:c.lockcheck
-    ~flightrec:c.flightrec ~ncpus:4 (fun () ->
-      let r = Experiments.Pressure.run ~jobs:c.jobs () in
-      Experiments.Pressure.print r;
-      Printf.printf "\ngraceful degradation at 20%% denials: %b\n"
-        (Experiments.Pressure.graceful r))
+  exit_unless
+    (with_checkers ~heapcheck:c.heapcheck ~lockcheck:c.lockcheck
+       ~flightrec:c.flightrec ~ncpus:4 (fun () ->
+         let r = Experiments.Pressure.run ~jobs:c.jobs () in
+         Experiments.Pressure.print r;
+         let ok = Experiments.Pressure.graceful r in
+         Printf.printf "\ngraceful degradation at 20%% denials: %b\n" ok;
+         ok))
 
 (* --- Fuzz: differential fuzz of the new allocator (lib/heapcheck) --- *)
 
@@ -1416,8 +1425,9 @@ let bench_roads_not_taken c =
   let sweep =
     Experiments.Fig9.run ~which:Lazybuddy ~memory_words:(256 * 1024) ()
   in
-  Printf.printf "lazy buddy completes the worst-case sweep: %b\n"
-    (Experiments.Fig9.completed sweep)
+  let completed = Experiments.Fig9.completed sweep in
+  Printf.printf "lazy buddy completes the worst-case sweep: %b\n" completed;
+  exit_unless completed
 
 (* --- E7: native pool vs a single-mutex pool, alone and contended
    (informational on 1-core hosts) --- *)

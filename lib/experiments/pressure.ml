@@ -1,7 +1,6 @@
 (* E8 — memory pressure: throughput and pages held vs VM grant-denial
-   rate.  The paper's Future Directions section proposes adjusting
-   [target] dynamically in response to memory pressure; this experiment
-   measures the implemented subsystem (Kma.Pressure) the way the paper
+   rate.  This experiment measures the reap-and-retry subsystem
+   (Kma.Pressure, static [target]/[gbltarget]) the way the paper
    measures everything else: against the mk baseline, on the simulated
    machine.
 
@@ -24,8 +23,6 @@ type row = {
   reaps : int;
   reap_pages : int;  (* pages returned by reap passes specifically *)
   retries : int;  (* allocations rescued by reap-and-retry *)
-  shrinks : int;
-  grows : int;
 }
 
 type series = { name : string; rows : row list }
@@ -110,8 +107,6 @@ let kma_cell ~cookie ~ncpus ~rounds ~batch ~seed rate =
         reaps = st.Kma.Kstats.reaps;
         reap_pages = st.Kma.Kstats.reap_pages;
         retries = st.Kma.Kstats.pressure_retries;
-        shrinks = st.Kma.Kstats.target_shrinks;
-        grows = st.Kma.Kstats.target_grows;
       })
 
 (* mk has no VM system to deny grants, so its row is rate-independent;
@@ -136,8 +131,6 @@ let mk_cell ~ncpus ~rounds ~batch rate =
         reaps = 0;
         reap_pages = 0;
         retries = 0;
-        shrinks = 0;
-        grows = 0;
       })
 
 let default_rates = [ 0.0; 0.05; 0.1; 0.2; 0.35 ]
@@ -195,7 +188,7 @@ let print r =
         ~header:
           [
             "fault%"; "pairs/s"; "fail"; "pages-held"; "reclaims"; "reaps";
-            "reap-pages"; "retries"; "shrink"; "grow";
+            "reap-pages"; "retries";
           ]
         (List.map
            (fun row ->
@@ -208,8 +201,6 @@ let print r =
                string_of_int row.reaps;
                string_of_int row.reap_pages;
                string_of_int row.retries;
-               string_of_int row.shrinks;
-               string_of_int row.grows;
              ])
            s.rows))
     r.series

@@ -3,11 +3,13 @@
     subsystem enabled) against the mk baseline.
 
     The paper's Future Directions section proposes adapting [target]
-    dynamically under memory pressure; E8 measures that implemented
-    proposal: graceful degradation (bounded throughput loss, zero
-    permanent failures, pages actually returned to the VM system by
-    reap) versus mk's permanent page hoarding.  Deterministic: the
-    denial stream comes from the VM system's seeded fault PRNG. *)
+    under memory pressure; E8 measured that proposal against static
+    bounds and it lost, so E8 now measures graceful degradation under
+    the reap-and-retry path with static [target]/[gbltarget] (bounded
+    throughput loss, zero permanent failures, pages actually returned
+    to the VM system by reap) versus mk's permanent page hoarding.
+    Deterministic: the denial stream comes from the VM system's seeded
+    fault PRNG. *)
 
 type row = {
   rate : float;  (** injected grant-denial probability *)
@@ -18,8 +20,6 @@ type row = {
   reaps : int;  (** pressure reap passes *)
   reap_pages : int;  (** pages returned by reap passes specifically *)
   retries : int;  (** allocations rescued by reap-and-retry *)
-  shrinks : int;  (** multiplicative target decreases *)
-  grows : int;  (** additive target recoveries *)
 }
 
 type series = { name : string; rows : row list }

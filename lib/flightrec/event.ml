@@ -27,7 +27,6 @@ type kind =
   | Vm_reclaim
   | Vm_denial of { injected : bool }
   | Reap of { full : bool }
-  | Target_adjust of { si : int; target : int; gbltarget : int; grow : bool }
   | Lockcheck_violation of { rule : string }
   | Heapcheck_violation of { rule : string }
 
@@ -40,8 +39,7 @@ let si_of = function
   | Gbl_get { si; _ }
   | Gbl_put { si; _ }
   | Page_grab { si; _ }
-  | Page_return { si; _ }
-  | Target_adjust { si; _ } ->
+  | Page_return { si; _ } ->
       Some si
   | Vmblk_carve _ | Vmblk_coalesce _ | Large_alloc _ | Large_free _
   | Obj_alloc _ | Obj_free _ | Lock_acquire _ | Lock_release _ | Vm_grant
@@ -69,7 +67,6 @@ let kind_name = function
   | Vm_reclaim -> "vm-reclaim"
   | Vm_denial _ -> "vm-denial"
   | Reap _ -> "reap"
-  | Target_adjust _ -> "target-adjust"
   | Lockcheck_violation _ -> "lockcheck-violation"
   | Heapcheck_violation _ -> "heapcheck-violation"
 
@@ -102,9 +99,6 @@ let pp_kind ppf = function
   | Vm_reclaim -> Format.pp_print_string ppf "vm-reclaim"
   | Vm_denial { injected } -> Format.fprintf ppf "vm-denial injected=%b" injected
   | Reap { full } -> Format.fprintf ppf "reap full=%b" full
-  | Target_adjust { si; target; gbltarget; grow } ->
-      Format.fprintf ppf "target-adjust si=%d target=%d gbltarget=%d grow=%b"
-        si target gbltarget grow
   | Lockcheck_violation { rule } ->
       Format.fprintf ppf "lockcheck-violation rule=%s" rule
   | Heapcheck_violation { rule } ->

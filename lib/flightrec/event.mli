@@ -4,9 +4,8 @@
     simulator — the vocabulary tracks the source paper's anatomy: the
     per-CPU cache transitions of its Figure 2, the global-layer and
     coalesce-layer traffic of its Design section, the lock contention
-    behind its Figures 7–9, and the reap / adaptive-target activity of
-    the [Kma.Pressure] subsystem its Future Directions section
-    proposes.  Events are plain host-side values: recording one never
+    behind its Figures 7–9, and the reap passes of the [Kma.Pressure]
+    subsystem.  Events are plain host-side values: recording one never
     touches simulated memory and charges zero simulated cycles.  This
     module deliberately depends on nothing, so both [sim] and [kma] can
     emit events without a dependency cycle. *)
@@ -60,10 +59,6 @@ type kind =
       (** A [kmem_reap]-style pressure pass ran on this CPU: aux lists
           flushed and the global layer trimmed ([full] additionally
           flushes main lists and empties the global layer). *)
-  | Target_adjust of { si : int; target : int; gbltarget : int; grow : bool }
-      (** The pressure subsystem moved class [si]'s adaptive bounds to
-          [target] / [gbltarget]; [grow] distinguishes additive recovery
-          from multiplicative shrink under denial. *)
   | Lockcheck_violation of { rule : string }
       (** The lockcheck validator flagged a broken synchronization
           invariant ([rule] is its name, e.g. ["lock-order"]); the full

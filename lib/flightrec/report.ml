@@ -258,51 +258,17 @@ let pp_counters ppf events =
    pressure-free runs are unchanged. *)
 let pp_pressure ppf events =
   let reaps = ref 0 and full = ref 0 in
-  (* per class: shrinks, grows, lowest target seen, last target/gbltarget *)
-  let adj : (int, int ref * int ref * int ref * int ref * int ref) Hashtbl.t =
-    Hashtbl.create 8
-  in
   List.iter
     (fun (e : Event.t) ->
       match e.Event.kind with
       | Event.Reap { full = f } ->
           incr reaps;
           if f then incr full
-      | Event.Target_adjust { si; target; gbltarget; grow } ->
-          let shrinks, grows, lowest, last_t, last_g =
-            match Hashtbl.find_opt adj si with
-            | Some v -> v
-            | None ->
-                let v = (ref 0, ref 0, ref max_int, ref 0, ref 0) in
-                Hashtbl.add adj si v;
-                v
-          in
-          if grow then incr grows else incr shrinks;
-          if target < !lowest then lowest := target;
-          last_t := target;
-          last_g := gbltarget
       | _ -> ())
     events;
-  if !reaps > 0 || Hashtbl.length adj > 0 then begin
+  if !reaps > 0 then begin
     Format.fprintf ppf "-- memory pressure --@,";
-    Format.fprintf ppf "reaps %d (full %d)@," !reaps !full;
-    let classes =
-      List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) adj [])
-    in
-    if classes <> [] then
-      table ppf
-        ~header:[ "class"; "shrinks"; "grows"; "lowest"; "target"; "gbltarget" ]
-        (List.map
-           (fun (si, (shrinks, grows, lowest, last_t, last_g)) ->
-             [
-               string_of_int si;
-               string_of_int !shrinks;
-               string_of_int !grows;
-               string_of_int !lowest;
-               string_of_int !last_t;
-               string_of_int !last_g;
-             ])
-           classes)
+    Format.fprintf ppf "reaps %d (full %d)@," !reaps !full
   end
 
 (* --- lockcheck violations --- *)

@@ -4,8 +4,8 @@
     reasons about — lock contention (the serialisation behind Figures 7
     and 8), per-layer miss rates (the 1/target, 1/gbltarget bounds),
     page lifetimes (coalesce-to-page effectiveness, Figure 9's
-    worst case) — plus, when pressure events are present, the reap and
-    adaptive-target activity of the Future Directions subsystem.
+    worst case) — plus, when pressure events are present, the reap
+    passes of the memory-pressure subsystem.
 
     The report is computed host-side from a {!Recorder.t} snapshot:
 

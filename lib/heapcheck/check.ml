@@ -45,7 +45,6 @@ let check ?live (k : Kma.Kmem.t) =
   let nsizes = ly.Kma.Layout.nsizes in
   let ncpus = ly.Kma.Layout.ncpus in
   let pdw = ly.Kma.Layout.pd_words in
-  let pressure_on = (ctx.Kma.Ctx.pressure).Kma.Ctx.enabled in
   let viols = ref [] in
   let add rule fmt =
     Printf.ksprintf (fun detail -> viols := { rule; detail } :: !viols) fmt
@@ -349,25 +348,21 @@ let check ?live (k : Kma.Kmem.t) =
       let nm = half "main" mh mc in
       let na = half "aux" ah ac in
       free_counts.(si) <- free_counts.(si) + nm + na;
-      if not pressure_on then begin
-        if tgt <> deflt then
-          add Percpu_count
-            "cpu%d class %d target word %d differs from the boot target %d \
-             with pressure disabled"
-            cpu si tgt deflt;
-        if ac <> 0 && ac <> tgt then
-          add Percpu_count
-            "cpu%d class %d aux holds %d blocks, want 0 or a full target \
-             list of %d"
-            cpu si ac tgt
-      end
+      if tgt <> deflt then
+        add Percpu_count
+          "cpu%d class %d target word %d differs from the boot target %d" cpu
+          si tgt deflt;
+      if ac <> 0 && ac <> tgt then
+        add Percpu_count
+          "cpu%d class %d aux holds %d blocks, want 0 or a full target list \
+           of %d"
+          cpu si ac tgt
     done
   done;
 
   (* (1) global layer: every gblfree count word is the true chain
-     length, the list-of-lists never carries a non-target list (bounded
-     by the boot target while adaptive targets move), and the bucket
-     count is honest. *)
+     length, the list-of-lists never carries a non-target list, and the
+     bucket count is honest. *)
   for si = 0 to nsizes - 1 do
     let deflt = p.Kma.Params.targets.(si) in
     guard Gbl_count
@@ -392,13 +387,7 @@ let check ?live (k : Kma.Kmem.t) =
                   add Gbl_count
                     "%s count word says %d but the chain holds %d" what cnt
                     n;
-                if pressure_on then begin
-                  if cnt < 1 || cnt > deflt then
-                    add Gbl_count
-                      "%s carries %d blocks, outside [1, %d] (boot target)"
-                      what cnt deflt
-                end
-                else if cnt <> deflt then
+                if cnt <> deflt then
                   add Gbl_count
                     "%s carries %d blocks, not a full target list of %d"
                     what cnt deflt)

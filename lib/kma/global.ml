@@ -40,19 +40,10 @@ let boot_init (ctx : Ctx.t) =
     done
   done
 
-(* Once pressure is enabled both bounds become the adaptive values
-   (host-side reads either way, like any [Params] read; the global
-   layer has no per-CPU copies to synchronise, and every use is under
-   the per-size spinlock, so any point is a safe point here). *)
-let target (ctx : Ctx.t) si =
-  let pr = ctx.Ctx.pressure in
-  if pr.Ctx.enabled then pr.Ctx.desired_targets.(si)
-  else (Ctx.params ctx).Params.targets.(si)
-
-let gbltarget (ctx : Ctx.t) si =
-  let pr = ctx.Ctx.pressure in
-  if pr.Ctx.enabled then pr.Ctx.desired_gbltargets.(si)
-  else (Ctx.params ctx).Params.gbltargets.(si)
+(* Both bounds are the boot-time [Params] constants (host-side reads,
+   like an immediate operand). *)
+let target (ctx : Ctx.t) si = (Ctx.params ctx).Params.targets.(si)
+let gbltarget (ctx : Ctx.t) si = (Ctx.params ctx).Params.gbltargets.(si)
 
 (* --- list-of-lists primitives (node's lock held) --- *)
 

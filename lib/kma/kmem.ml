@@ -54,8 +54,7 @@ let create machine ?(params = Params.default) ?(numa_global = false) () =
         Array.init nsizes (fun si ->
             Spinlock.init mem (Layout.pagepool_addr layout ~si));
       vlock = Spinlock.init mem layout.Layout.vmctl_base;
-      pressure =
-        Ctx.make_pressure_state ~ncpus:layout.Layout.ncpus ~params;
+      pressure = false;
       numa_global;
     }
   in

@@ -44,9 +44,9 @@ val alloc : t -> bytes:int -> int
 val try_alloc : t -> bytes:int -> int option
 (** Like {!alloc} but returns [None] on exhaustion.  With the
     {!Pressure} subsystem enabled, a denied attempt first walks the
-    bounded reap-and-retry path (shrink targets, reap, retry — light
-    reap first, then full) and returns [None] only when the retries
-    are exhausted or provably hopeless. *)
+    bounded reap-and-retry path (reap, retry — light reap first, then
+    full) and returns [None] only when the retries are exhausted or
+    provably hopeless. *)
 
 val alloc_class : t -> si:int -> int
 (** [alloc_class t ~si] allocates straight from a resolved size class

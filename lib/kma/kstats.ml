@@ -22,8 +22,6 @@ type t = {
   mutable reap_pages : int;
   mutable pressure_retries : int;
   mutable pressure_failures : int;
-  mutable target_shrinks : int;
-  mutable target_grows : int;
 }
 
 let fresh () =
@@ -52,8 +50,6 @@ let create ~nsizes =
     reap_pages = 0;
     pressure_retries = 0;
     pressure_failures = 0;
-    target_shrinks = 0;
-    target_grows = 0;
   }
 
 let size t si = t.sizes.(si)
@@ -65,8 +61,6 @@ let reset t =
   t.reap_pages <- 0;
   t.pressure_retries <- 0;
   t.pressure_failures <- 0;
-  t.target_shrinks <- 0;
-  t.target_grows <- 0;
   Array.iteri (fun i _ -> t.sizes.(i) <- fresh ()) t.sizes
 
 let ratio num den =
@@ -113,8 +107,6 @@ let pp ppf t =
       t.large_frees;
   if t.reaps + t.pressure_retries + t.pressure_failures > 0 then
     Format.fprintf ppf
-      "pressure: reaps=%d pages-reclaimed=%d retries=%d failures=%d \
-       shrinks=%d grows=%d@,"
-      t.reaps t.reap_pages t.pressure_retries t.pressure_failures
-      t.target_shrinks t.target_grows;
+      "pressure: reaps=%d pages-reclaimed=%d retries=%d failures=%d@,"
+      t.reaps t.reap_pages t.pressure_retries t.pressure_failures;
   Format.fprintf ppf "@]"

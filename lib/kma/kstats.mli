@@ -35,10 +35,6 @@ type t = {
       (** allocations that succeeded only after reap-and-retry *)
   mutable pressure_failures : int;
       (** allocations that still failed after the bounded retry loop *)
-  mutable target_shrinks : int;
-      (** per-class multiplicative [target] decreases under denial *)
-  mutable target_grows : int;
-      (** per-class additive [target] recoveries toward the defaults *)
 }
 
 val create : nsizes:int -> t

@@ -1,14 +1,5 @@
 type page_policy = Fullest_first | Emptiest_first
 
-type pressure = {
-  min_target : int;
-  shrink_shift : int;
-  grow_step : int;
-  grow_grants : int;
-  grow_allocs : int;
-  max_retries : int;
-}
-
 type t = {
   sizes_bytes : int array;
   page_bytes : int;
@@ -20,7 +11,6 @@ type t = {
   vm_reclaim_cost : int;
   page_policy : page_policy;
   debug : bool;
-  pressure : pressure;
 }
 
 let bytes_per_word = 4
@@ -33,16 +23,6 @@ let default_target ~bytes = max 2 (min 10 (4096 / bytes))
 let default_gbltarget ~target = max 2 (3 * target / 2)
 
 let default_sizes = [| 16; 32; 64; 128; 256; 512; 1024; 2048; 4096 |]
-
-let default_pressure =
-  {
-    min_target = 1;
-    shrink_shift = 1;
-    grow_step = 1;
-    grow_grants = 4;
-    grow_allocs = 64;
-    max_retries = 8;
-  }
 
 let derive_targets sizes = Array.map (fun b -> default_target ~bytes:b) sizes
 
@@ -74,14 +54,7 @@ let validate t =
   (match t.phys_pages with
   | Some p -> check (p > 0) "phys_pages must be positive"
   | None -> ());
-  check (t.vm_grant_cost >= 0 && t.vm_reclaim_cost >= 0) "vm costs";
-  let pr = t.pressure in
-  check (pr.min_target >= 1) "pressure.min_target must be >= 1";
-  check (pr.shrink_shift >= 1) "pressure.shrink_shift must be >= 1";
-  check (pr.grow_step >= 1) "pressure.grow_step must be >= 1";
-  check (pr.grow_grants >= 1) "pressure.grow_grants must be >= 1";
-  check (pr.grow_allocs >= 1) "pressure.grow_allocs must be >= 1";
-  check (pr.max_retries >= 0) "pressure.max_retries must be >= 0"
+  check (t.vm_grant_cost >= 0 && t.vm_reclaim_cost >= 0) "vm costs"
 
 let default =
   let targets = derive_targets default_sizes in
@@ -96,7 +69,6 @@ let default =
     vm_reclaim_cost = 200;
     page_policy = Fullest_first;
     debug = false;
-    pressure = default_pressure;
   }
 
 let small = { default with vmblk_pages = 64 }
@@ -112,8 +84,7 @@ let auto ~memory_words =
 
 let make ?sizes_bytes ?page_bytes ?vmblk_pages ?targets ?gbltargets
     ?phys_pages ?vm_grant_cost ?vm_reclaim_cost
-    ?(page_policy = Fullest_first) ?(debug = false)
-    ?(pressure = default_pressure) () =
+    ?(page_policy = Fullest_first) ?(debug = false) () =
   let sizes_bytes = Option.value sizes_bytes ~default:default.sizes_bytes in
   let targets =
     match targets with Some t -> t | None -> derive_targets sizes_bytes
@@ -137,7 +108,6 @@ let make ?sizes_bytes ?page_bytes ?vmblk_pages ?targets ?gbltargets
         Option.value vm_reclaim_cost ~default:default.vm_reclaim_cost;
       page_policy;
       debug;
-      pressure;
     }
   in
   validate t;

@@ -44,37 +44,11 @@ let lockcheck_probe ~owner =
           ~irq_off:(Machine.running_irq_off ())
     | None -> ()
 
-(* Propagate an adaptively changed [target] into this CPU's cache
-   word.  Called only from the slow paths, with interrupts disabled, by
-   the owning CPU — the safe points at which the pressure subsystem may
-   change layer-1 bounds, so layer 1 stays lock-free and the warm fast
-   paths keep their calibrated instruction counts.  The host-side
-   shadow makes the check free when nothing changed, and the whole
-   thing is a single host branch while pressure is disabled. *)
-let sync_target (ctx : Ctx.t) ~cpu ~si pcc =
-  let pr = ctx.Ctx.pressure in
-  if pr.Ctx.enabled then begin
-    let idx = (cpu * ctx.Ctx.layout.Layout.nsizes) + si in
-    let want = pr.Ctx.desired_targets.(si) in
-    if pr.Ctx.pcc_targets.(idx) <> want then begin
-      pr.Ctx.pcc_targets.(idx) <- want;
-      Machine.write (pcc + o_target) want
-    end
-  end
-
-(* The target the current CPU's cache is operating under: the adaptive
-   value once pressure is enabled, the boot-time constant otherwise
-   (host-side either way, like any [Params] read). *)
-let live_target (ctx : Ctx.t) ~si =
-  let pr = ctx.Ctx.pressure in
-  if pr.Ctx.enabled then pr.Ctx.desired_targets.(si)
-  else ctx.Ctx.layout.Layout.params.Params.targets.(si)
-
 (* Interrupts are disabled throughout; returns 0 on exhaustion.  The
    second component is the layer of satisfaction for the flight
    recorder: [Percpu] when the block came off main or aux (still
    CPU-local), [Global] when a list transfer was needed. *)
-let rec alloc_disabled (ctx : Ctx.t) st ~cpu ~si pcc =
+let rec alloc_disabled (ctx : Ctx.t) st ~si pcc =
   let h = Machine.read (pcc + o_main_head) in
   if h <> 0 then begin
     Machine.write (pcc + o_main_head) (Machine.read (h + Freelist.link));
@@ -84,7 +58,6 @@ let rec alloc_disabled (ctx : Ctx.t) st ~cpu ~si pcc =
   end
   else begin
     Machine.work w_slow_branch;
-    sync_target ctx ~cpu ~si pcc;
     let ah = Machine.read (pcc + o_aux_head) in
     if ah <> 0 then begin
       (* Slide aux into main; still purely CPU-local. *)
@@ -93,7 +66,7 @@ let rec alloc_disabled (ctx : Ctx.t) st ~cpu ~si pcc =
       Machine.write (pcc + o_main_cnt) (Machine.read (pcc + o_aux_cnt));
       Machine.write (pcc + o_aux_head) 0;
       Machine.write (pcc + o_aux_cnt) 0;
-      alloc_disabled ctx st ~cpu ~si pcc
+      alloc_disabled ctx st ~si pcc
     end
     else begin
       st.Kstats.alloc_misses <- st.Kstats.alloc_misses + 1;
@@ -154,7 +127,7 @@ let alloc (ctx : Ctx.t) ~si =
   st.Kstats.allocs <- st.Kstats.allocs + 1;
   Machine.irq_disable ();
   lockcheck_probe ~owner:cpu;
-  let a, layer = alloc_disabled ctx st ~cpu ~si pcc in
+  let a, layer = alloc_disabled ctx st ~si pcc in
   Machine.irq_enable ();
   if Trace.on () then
     Trace.emit
@@ -184,29 +157,20 @@ let free (ctx : Ctx.t) ~si a =
   end
   else begin
     Machine.work w_slow_branch;
-    sync_target ctx ~cpu ~si pcc;
-    (* [sync_target] may have just moved this CPU's target, in which
-       case the aux list was filled under the *old* bound and is no
-       longer target-sized; re-read the word it may have written (the
-       host branch keeps pressure-off runs bit-identical — no extra
-       charged read when the word cannot have changed). *)
-    let tgt =
-      if (ctx.Ctx.pressure).Ctx.enabled then Machine.read (pcc + o_target)
-      else tgt
-    in
+    (* Pressure-enabled runs charge one more read of the target word
+       on this path.  The word cannot change, but dropping the read
+       would move every pressure-mode cycle count (E8's rate-0 pin
+       included), so it stays until a change re-pins them. *)
+    if ctx.Ctx.pressure then ignore (Machine.read (pcc + o_target) : int);
     let acnt = Machine.read (pcc + o_aux_cnt) in
     if acnt <> 0 then begin
       st.Kstats.free_misses <- st.Kstats.free_misses + 1;
       layer := Flightrec.Event.Global;
-      let head = Machine.read (pcc + o_aux_head) in
-      if acnt = tgt then
-        (* aux holds a full target-sized list: one O(1) hand-off to the
-           global layer. *)
-        Global.put_list ctx ~si ~head ~count:acnt
-      else
-        (* Stale-target remainder: gblfree carries only target-sized
-           lists, so an odd-sized aux must go through the bucket. *)
-        Global.put_partial ctx ~si ~head ~count:acnt
+      (* aux holds a full target-sized list: one O(1) hand-off to the
+         global layer. *)
+      Global.put_list ctx ~si
+        ~head:(Machine.read (pcc + o_aux_head))
+        ~count:acnt
     end;
     (* Slide the full main into aux, start a fresh main with [a]. *)
     Machine.write (pcc + o_aux_head) (Machine.read (pcc + o_main_head));
@@ -230,10 +194,9 @@ let drain (ctx : Ctx.t) ~si =
   let cpu = Machine.cpu_id () in
   let ly = ctx.Ctx.layout in
   let pcc = Layout.pcc_addr ly ~cpu ~si in
-  let tgt = live_target ctx ~si in
+  let tgt = (Ctx.params ctx).Params.targets.(si) in
   Machine.irq_disable ();
   lockcheck_probe ~owner:cpu;
-  sync_target ctx ~cpu ~si pcc;
   flush_half ctx ~si ~tgt pcc o_main_head o_main_cnt;
   flush_half ctx ~si ~tgt pcc o_aux_head o_aux_cnt;
   Machine.irq_enable ()
@@ -245,10 +208,9 @@ let drain_aux (ctx : Ctx.t) ~si =
   let cpu = Machine.cpu_id () in
   let ly = ctx.Ctx.layout in
   let pcc = Layout.pcc_addr ly ~cpu ~si in
-  let tgt = live_target ctx ~si in
+  let tgt = (Ctx.params ctx).Params.targets.(si) in
   Machine.irq_disable ();
   lockcheck_probe ~owner:cpu;
-  sync_target ctx ~cpu ~si pcc;
   flush_half ctx ~si ~tgt pcc o_aux_head o_aux_cnt;
   Machine.irq_enable ()
 

@@ -23,9 +23,10 @@ let on_cpu m f =
 (* Allocate [n] blocks of class [si] and free [back] of them: populates
    the per-CPU cache, stocks gblfree via the refill hysteresis, and
    leaves split pages behind.  Returns the ctx and the live count. *)
-let warmed ?(n = 25) ?(back = 12) () =
+let warmed ?(pressure = false) ?(n = 25) ?(back = 12) () =
   let m, k = kmem () in
   let ctx : Ctx.t = k in
+  if pressure then Pressure.enable k;
   on_cpu m (fun () ->
       let blocks = Array.init n (fun _ -> Kmem.alloc_class k ~si) in
       Array.iter (fun a -> assert (a <> 0)) blocks;
@@ -72,6 +73,19 @@ let test_percpu_count () =
   Alcotest.(check bool) "warm-up left main nonempty" true (c > 0);
   Sim.Memory.set mem (pcc + Percpu.o_main_cnt) (c + 1);
   check_has Heapcheck.Percpu_count "main-count skew" (Heapcheck.check ctx)
+
+(* The target discipline holds in every mode: with the pressure
+   subsystem armed, a per-CPU target word that strays from the boot
+   target is still a violation. *)
+let test_target_word_under_pressure () =
+  let ctx, nlive = warmed ~pressure:true () in
+  Alcotest.(check int) "pressured heap checks clean" 0
+    (List.length (Heapcheck.check ~live:(live_counts ctx nlive) ctx));
+  let boot = (Ctx.params ctx).Params.targets.(si) in
+  let pcc = Layout.pcc_addr ctx.Ctx.layout ~cpu:0 ~si in
+  Sim.Memory.set (Ctx.memory ctx) (pcc + Percpu.o_target) (boot - 1);
+  check_has Heapcheck.Percpu_count "target word below boot under pressure"
+    (Heapcheck.check ctx)
 
 let test_page_nfree () =
   let ctx, _ = warmed () in
@@ -199,4 +213,6 @@ let suite =
     Alcotest.test_case "checkpoints counted, clean heap silent" `Quick
       test_checkpoint_counts;
     Alcotest.test_case "Sweep 0 rejected" `Quick test_sweep_zero_rejected;
+    Alcotest.test_case "target word off boot trips percpu-count under pressure"
+      `Quick test_target_word_under_pressure;
   ]

@@ -202,52 +202,6 @@ let prop_no_double_allocation =
             ops);
       !ok)
 
-(* Regression: a slow-path free must hand its aux list to the global
-   layer under the target in force *after* [sync_target] runs.  It
-   used to compare against the target word read at entry, so an aux
-   list filled under a larger, since-shrunk target matched the stale
-   bound and landed on gblfree as an oversized "full" list.  The fix
-   re-reads the target and routes the mismatch through the bucket. *)
-let test_shrunk_target_handoff_goes_to_bucket () =
-  let m, k = Util.kmem ~ncpus:1 () in
-  let ctx = Util.ctx_of k in
-  Pressure.enable k;
-  let boot = (Kmem.params k).Params.targets.(si) in
-  Alcotest.(check bool) "scenario needs target >= 3" true (boot >= 3);
-  let shrunk = boot - 2 in
-  Util.on_cpu m (fun () ->
-      let blocks =
-        Array.init ((2 * boot) + 1) (fun _ -> Kmem.alloc_class k ~si)
-      in
-      Array.iter
-        (fun a -> Alcotest.(check bool) "warm alloc ok" true (a <> 0))
-        blocks;
-      (* Start the cache from empty so the frees below land exactly
-         boot blocks in main and boot in aux. *)
-      Percpu.drain ctx ~si;
-      for i = 0 to (2 * boot) - 1 do
-        Percpu.free ctx ~si blocks.(i)
-      done;
-      let (_, mc), (_, ac), _ = Percpu.cache_oracle ctx ~cpu:0 ~si in
-      Alcotest.(check (pair int int)) "main and aux boot-target-sized"
-        (boot, boot) (mc, ac);
-      (* Empty the global layer (warm-up refills and the drain stocked
-         it) so the hand-off below is the only traffic. *)
-      Global.drain_all ctx ~si;
-      Alcotest.(check int) "gblfree emptied before the hand-off" 0
-        (List.length (Global.lists_oracle ctx ~si));
-      (* Pressure shrinks the class target; the cache still holds a
-         boot-sized aux filled under the old bound.  The next slow-path
-         free syncs the target and must notice the mismatch. *)
-      ctx.Ctx.pressure.Ctx.desired_targets.(si) <- shrunk;
-      Percpu.free ctx ~si blocks.(2 * boot));
-  let lists = Global.lists_oracle ctx ~si in
-  Alcotest.(check bool) "no stale-sized list on gblfree" true
-    (List.for_all (fun (_, c) -> c = shrunk) lists);
-  let in_lists = List.fold_left (fun acc (_, c) -> acc + c) 0 lists in
-  Alcotest.(check int) "handed-off blocks conserved (lists + bucket)" boot
-    (in_lists + Global.bucket_count_oracle ctx ~si)
-
 let suite =
   [
     Alcotest.test_case "first alloc misses, rest hit" `Quick
@@ -264,7 +218,5 @@ let suite =
     Alcotest.test_case "cross-CPU alloc/free flows via global" `Quick
       test_cross_cpu_flow_handshake;
     Alcotest.test_case "drain empties the cache" `Quick test_drain;
-    Alcotest.test_case "shrunk-target hand-off goes to the bucket" `Quick
-      test_shrunk_target_handoff_goes_to_bucket;
     QCheck_alcotest.to_alcotest prop_no_double_allocation;
   ]

@@ -1,6 +1,6 @@
-(* The memory-pressure subsystem: reap/drain correctness, adaptive
-   target convergence, bounded retries, and determinism (including with
-   the flight recorder installed). *)
+(* The memory-pressure subsystem: reap/drain correctness, bounded
+   retries, and determinism (including with the flight recorder
+   installed). *)
 
 open Kma
 
@@ -77,42 +77,6 @@ let test_retries_rescue_all_allocations () =
   Alcotest.(check int) "no allocation degraded to failure" 0
     st.Kstats.pressure_failures
 
-let test_targets_shrink_then_converge () =
-  (* Sustained denial shrinks the adaptive bounds; once the pressure
-     ends, the additive recovery must walk every class all the way back
-     to the Params defaults. *)
-  let m, k = Util.kmem () in
-  Pressure.enable k;
-  let vm = Kmem.vmsys k in
-  Util.on_cpu m (fun () ->
-      Sim.Vmsys.set_fault_rate vm ~seed:7 0.6;
-      ignore (churn ~rounds:20 k);
-      Alcotest.(check bool) "bounds shrank under sustained denial" true
-        ((Kmem.stats k).Kstats.target_shrinks > 0);
-      Alcotest.(check bool) "not at defaults while under pressure" false
-        (Pressure.at_defaults k);
-      Sim.Vmsys.set_fault_rate vm 0.;
-      let r = ref 0 in
-      while (not (Pressure.at_defaults k)) && !r < 400 do
-        incr r;
-        ignore (churn ~rounds:1 k)
-      done);
-  Alcotest.(check bool) "converged back to the Params defaults" true
-    (Pressure.at_defaults k);
-  Alcotest.(check bool) "recovery used additive grow steps" true
-    ((Kmem.stats k).Kstats.target_grows > 0)
-
-let test_disable_restores_defaults () =
-  let m, k = Util.kmem () in
-  Pressure.enable k;
-  Util.on_cpu m (fun () ->
-      Sim.Vmsys.set_fault_rate (Kmem.vmsys k) ~seed:3 0.5;
-      ignore (churn ~rounds:10 k));
-  Pressure.disable k;
-  Alcotest.(check bool) "disabled" false (Pressure.enabled k);
-  Alcotest.(check bool) "bounds restored on disable" true
-    (Pressure.at_defaults k)
-
 let test_debug_poison_survives_pressure () =
   (* Under the debug kernel every allocation verifies the free-time
      poison, so a block lost, duplicated or corrupted by the reap paths
@@ -149,9 +113,7 @@ let pressured_run ?recorder () =
         failures,
         st.Kstats.reaps,
         st.Kstats.reap_pages,
-        st.Kstats.pressure_retries,
-        st.Kstats.target_shrinks,
-        st.Kstats.target_grows ))
+        st.Kstats.pressure_retries ))
 
 let test_deterministic_under_fixed_seed () =
   let a = pressured_run () in
@@ -177,10 +139,6 @@ let suite =
       test_light_reap_keeps_warmth;
     Alcotest.test_case "retry-with-reap rescues all allocations" `Quick
       test_retries_rescue_all_allocations;
-    Alcotest.test_case "targets shrink then converge to defaults" `Quick
-      test_targets_shrink_then_converge;
-    Alcotest.test_case "disable restores the default bounds" `Quick
-      test_disable_restores_defaults;
     Alcotest.test_case "debug poison survives pressured churn" `Quick
       test_debug_poison_survives_pressure;
     Alcotest.test_case "deterministic under a fixed seed" `Quick
